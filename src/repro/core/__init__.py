@@ -3,16 +3,14 @@
 * :mod:`repro.core.hbtree_implicit` — implicit HB+-tree (section 5.2),
 * :mod:`repro.core.hbtree` — regular HB+-tree,
 * :mod:`repro.core.buckets` / :mod:`repro.core.pipeline` — bucket
-  decomposition and the sequential / pipelined / double-buffered bucket
-  scheduling strategies (section 5.4, Figs 5-6),
+  decomposition and the modeled sequential / pipelined /
+  double-buffered CPU-GPU overlap (section 5.4, Figs 5-6),
 * :mod:`repro.core.load_balance` — the D/R load balancing scheme and
   its discovery algorithm (section 5.5, Algorithm 1),
 * :mod:`repro.core.update` — batch update execution (section 5.6),
 * :mod:`repro.core.batching` — sorted/deduplicated bucket execution
-  (coalescing-aware batch engine; DESIGN.md §8),
-* :mod:`repro.core.overlap` — the *real* overlapped pipeline: a
-  double-buffered, multi-threaded CPU<->GPU engine executing buckets
-  through actual worker threads (DESIGN.md §9),
+  (coalescing-aware batch engine; DESIGN.md §8), the one engine every
+  caller serves through,
 * :mod:`repro.core.resilience` — fault-tolerant execution: retries,
   mirror checksum repair, circuit-breaker degradation to CPU-only
   service and recovery (beyond the paper; see DESIGN.md §7).
@@ -30,7 +28,6 @@ from repro.core.buckets import iter_buckets, num_buckets
 from repro.core.hbtree import HBPlusTree, MirrorSyncStats
 from repro.core.hbtree_implicit import ImplicitHBPlusTree
 from repro.core.load_balance import DiscoveryResult, LoadBalancer
-from repro.core.overlap import OverlappedEngine, OverlapStats, QueueStats
 from repro.core.pipeline import BucketStrategy, PipelineSimulator
 from repro.core.resilience import (
     CircuitBreaker,
@@ -62,9 +59,6 @@ __all__ = [
     "measure_sorted_delta",
     "plan_bucket",
     "MirrorSyncStats",
-    "OverlappedEngine",
-    "OverlapStats",
-    "QueueStats",
     "ResilientHBPlusTree",
     "ResilienceConfig",
     "ResilienceStats",

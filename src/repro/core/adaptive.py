@@ -237,8 +237,8 @@ class RegularModeBalancer(SplitCostModel):
 class AdaptiveController:
     """The feedback loop: window → reprofile → Algorithm 1 → hysteresis.
 
-    Engine protocol (spoken by :class:`BatchingEngine`,
-    :class:`OverlappedEngine` and :class:`ResilientHBPlusTree`):
+    Engine protocol (spoken by :class:`BatchingEngine` and
+    :class:`ResilientHBPlusTree`):
 
     * :meth:`split` — the (D, R) to apply to the *next* bucket;
     * :meth:`note_bucket` — called serially, in dispatch order, with

@@ -198,13 +198,6 @@ class BatchingEngine:
 
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _codes_of(result) -> np.ndarray:
-        """The GPU stage's per-query output, whatever the tree calls it."""
-        if hasattr(result, "codes"):
-            return result.codes
-        return result.leaf_indices
-
     def _bucket_kernel(self) -> Optional[str]:
         """The GPU kernel for the next bucket (None = tree default)."""
         if self.kernel is not None:
@@ -273,7 +266,7 @@ class BatchingEngine:
                 self.stats.baselines_measured += 1
             with obs.span("cpu_finish", bucket=index):
                 per_unique = self.tree.cpu_finish_bucket(
-                    plan.sorted_unique, self._codes_of(result)
+                    plan.sorted_unique, result.codes
                 )
         self.stats.buckets += 1
         self.stats.queries += plan.n_queries
@@ -336,7 +329,7 @@ class BatchingEngine:
             with obs.span("gpu_descend", bucket=index):
                 result = self._descend(plan)
             with obs.span("cpu_scan", bucket=index):
-                codes = self._codes_of(result)[plan.inverse]
+                codes = result.codes[plan.inverse]
                 scans = self.tree.cpu_scan_bucket(plan.queries, his, codes)
         tuples = sum(len(s) for s in scans)
         self.stats.buckets += 1

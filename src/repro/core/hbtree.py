@@ -386,21 +386,6 @@ class HBPlusTree:
     # ------------------------------------------------------------------
     # search
 
-    def gpu_begin_bucket(self, n_queries: int) -> bool:
-        """Screen + count one bucket's kernel launch (stage-2 entry).
-
-        Mirrors exactly what :meth:`gpu_search_bucket` does before any
-        compute — the injector consultation and the launch counter —
-        so a concurrent engine can perform the (stateful, fault-bearing)
-        screening serially in dispatch order while the pure descent
-        runs on worker threads.  Returns False when the bucket launches
-        nothing (empty bucket).
-        """
-        if n_queries == 0:
-            return False
-        self.device.begin_launch()
-        return True
-
     def _resolve_kernel(self, kernel: Optional[str]) -> str:
         """``kernel`` argument, or this tree's default; validated."""
         return validate_kernel(kernel if kernel is not None else self.kernel)
@@ -410,12 +395,9 @@ class HBPlusTree:
     ) -> "tuple[np.ndarray, int]":
         """Pure stage-2 descent: ``(codes, transactions)``.
 
-        No launch screening, no counter mutation — safe to call from
-        multiple threads concurrently (the mirror is read-only during
-        search).  Callers that want serial semantics should pair it
-        with :meth:`gpu_begin_bucket` and merge the transactions into
-        the device counters, which is what :meth:`gpu_search_bucket`
-        and :class:`repro.core.overlap.OverlappedEngine` both do.
+        No launch screening, no counter mutation: this is the descent
+        :meth:`gpu_search_bucket` runs after screening the launch, and
+        what :meth:`modeled_transactions` prices without one.
 
         ``kernel="frontier"`` keeps the same 3-step descent (the
         regular layout has no level-contiguous I-segment to sweep) but
@@ -446,11 +428,12 @@ class HBPlusTree:
         """Stage 2: 3-step descent of all inner levels on the GPU."""
         q = np.asarray(queries, dtype=self.spec.dtype)
         kern = self._resolve_kernel(kernel)
-        if not self.gpu_begin_bucket(len(q)):
+        if len(q) == 0:
             # an empty bucket launches nothing and costs nothing
             return GpuSearchResult(
                 codes=np.zeros(0, dtype=np.int64), transactions=0
             )
+        self.device.begin_launch()
         codes, txns = self.gpu_descend(q, kernel=kern)
         self.device.memory.counters.transactions_64 += txns
         self.device.memory.counters.bytes_moved += txns * 64

@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.hbtree import GpuSearchResult
 from repro.cpu.btree_implicit import ImplicitCpuBPlusTree
 from repro.cpu.node_search import NodeSearchAlgorithm
 from repro.gpusim.device import GpuDevice
@@ -52,30 +53,6 @@ from repro.platform.costmodel import (
     CpuQueryProfile,
     hybrid_bucket_costs,
 )
-
-
-@dataclass
-class GpuSearchResult:
-    """Outcome of the GPU inner-node stage for one bucket."""
-
-    leaf_indices: np.ndarray
-    transactions: int
-    #: modeled transactions the same bucket costs in arrival order;
-    #: filled by the batch engine when it measures baselines
-    baseline_transactions: Optional[int] = None
-
-    @property
-    def transactions_per_query(self) -> float:
-        if len(self.leaf_indices) == 0:
-            return 0.0
-        return self.transactions / len(self.leaf_indices)
-
-    @property
-    def sorted_gain(self) -> float:
-        """Fraction of modeled transactions saved vs arrival order."""
-        if not self.baseline_transactions:
-            return 0.0
-        return 1.0 - self.transactions / self.baseline_transactions
 
 
 @dataclass
@@ -206,20 +183,6 @@ class ImplicitHBPlusTree:
     # ------------------------------------------------------------------
     # search
 
-    def gpu_begin_bucket(self, n_queries: int) -> bool:
-        """Count one bucket's kernel launch (stage-2 entry).
-
-        The stateful prologue of :meth:`gpu_search_bucket`, split out so
-        a concurrent engine can run it serially in dispatch order while
-        the pure :meth:`gpu_descend` runs on worker threads.  Returns
-        False when the bucket launches nothing (empty bucket, or a
-        zero-depth GPU slice).
-        """
-        if n_queries == 0 or self.gpu_depth == 0:
-            return False
-        self.device.kernel_launches += 1
-        return True
-
     def _resolve_kernel(self, kernel: Optional[str]) -> str:
         """``kernel`` argument, or this tree's default; validated."""
         return validate_kernel(kernel if kernel is not None else self.kernel)
@@ -229,12 +192,11 @@ class ImplicitHBPlusTree:
     ) -> "tuple[np.ndarray, int]":
         """Pure stage-2 descent: ``(leaf_indices, transactions)``.
 
-        No launch counting, no counter mutation — thread-safe over the
-        read-only mirror.  ``gpu_depth == 0`` yields all-zero leaf
-        indices, matching :meth:`gpu_search_bucket`.  ``kernel`` picks
-        the per-query Snippet-3 descent or the level-wise frontier
-        descent — identical leaf indices either way, different
-        transaction accounting.
+        No launch counting, no counter mutation.  ``gpu_depth == 0``
+        yields all-zero leaf indices, matching :meth:`gpu_search_bucket`.
+        ``kernel`` picks the per-query Snippet-3 descent or the
+        level-wise frontier descent — identical leaf indices either
+        way, different transaction accounting.
         """
         q = np.asarray(queries, dtype=self.spec.dtype)
         kern = self._resolve_kernel(kernel)
@@ -262,17 +224,22 @@ class ImplicitHBPlusTree:
     def gpu_search_bucket(
         self, queries: np.ndarray, kernel: Optional[str] = None
     ) -> GpuSearchResult:
-        """Stage 2: traverse all inner levels on the (simulated) GPU."""
+        """Stage 2: traverse all inner levels on the (simulated) GPU.
+
+        The result's ``codes`` are the per-query leaf indices.
+        """
         q = np.asarray(queries, dtype=self.spec.dtype)
         kern = self._resolve_kernel(kernel)
-        if not self.gpu_begin_bucket(len(q)):
+        if len(q) == 0 or self.gpu_depth == 0:
+            # nothing to launch: an empty bucket or a zero-depth slice
             return GpuSearchResult(
-                leaf_indices=np.zeros(len(q), dtype=np.int64), transactions=0
+                codes=np.zeros(len(q), dtype=np.int64), transactions=0
             )
+        self.device.kernel_launches += 1
         leaf, txns = self.gpu_descend(q, kernel=kern)
         self.device.memory.counters.transactions_64 += txns
         self.device.memory.counters.bytes_moved += txns * 64
-        return GpuSearchResult(leaf_indices=leaf, transactions=txns)
+        return GpuSearchResult(codes=leaf, transactions=txns)
 
     # -- load-balanced (D, R) split execution --------------------------
 
@@ -318,7 +285,7 @@ class ImplicitHBPlusTree:
         """Pure stage-2 descent resumed from per-query (level, node).
 
         The split-space twin of :meth:`gpu_descend`: no launch
-        counting, no counter mutation, safe from worker threads.  With
+        counting, no counter mutation.  With
         all ``start_levels`` at 0 both outputs are identical to
         :meth:`gpu_descend` (the unbalanced corner of the split space).
         """
@@ -370,16 +337,16 @@ class ImplicitHBPlusTree:
         q = np.asarray(queries, dtype=self.spec.dtype)
         kern = self._resolve_kernel(kernel)
         start = np.asarray(start_levels, dtype=np.int64)
-        gpu_active = int(np.count_nonzero(start < self.gpu_depth))
-        if not self.gpu_begin_bucket(gpu_active):
+        if self.gpu_depth == 0 or not np.any(start < self.gpu_depth):
             return GpuSearchResult(
-                leaf_indices=np.asarray(start_nodes, dtype=np.int64).copy(),
+                codes=np.asarray(start_nodes, dtype=np.int64).copy(),
                 transactions=0,
             )
+        self.device.kernel_launches += 1
         leaf, txns = self.gpu_descend_from(q, start, start_nodes, kernel=kern)
         self.device.memory.counters.transactions_64 += txns
         self.device.memory.counters.bytes_moved += txns * 64
-        return GpuSearchResult(leaf_indices=leaf, transactions=txns)
+        return GpuSearchResult(codes=leaf, transactions=txns)
 
     def modeled_transactions(
         self, queries: np.ndarray, kernel: Optional[str] = None
@@ -445,7 +412,7 @@ class ImplicitHBPlusTree:
         """
         q = self.spec.coerce(queries)
         result = self.gpu_search_bucket(q)
-        return self.cpu_finish_bucket(q, result.leaf_indices)
+        return self.cpu_finish_bucket(q, result.codes)
 
     def lookup(self, key: int) -> Optional[int]:
         out = self.lookup_batch(np.asarray([key], dtype=self.spec.dtype))
@@ -489,7 +456,7 @@ class ImplicitHBPlusTree:
         """Measure the CPU leaf stage's per-query memory behaviour."""
         q = np.asarray(sample_queries, dtype=self.spec.dtype)
         result = self.gpu_search_bucket(q)
-        leaf = np.minimum(result.leaf_indices, self.cpu_tree.num_leaves - 1)
+        leaf = np.minimum(result.codes, self.cpu_tree.num_leaves - 1)
         self.mem.reset_counters()
         self.mem.touch_lines(self.cpu_tree.l_segment, leaf)
         counters = self.mem.counters

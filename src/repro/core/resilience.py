@@ -239,7 +239,6 @@ class ResilientHBPlusTree:
         tree: HBPlusTree,
         injector: Optional[FaultInjector] = None,
         config: Optional[ResilienceConfig] = None,
-        engine=None,
         obs=None,
         adaptive=None,
     ):
@@ -248,16 +247,6 @@ class ResilientHBPlusTree:
             # thread the bundle through the tree (and so the link and
             # device); engines over the same tree follow automatically
             tree.attach_obs(obs)
-        #: optional :class:`repro.core.overlap.OverlappedEngine` over
-        #: the *same* tree; when set, hybrid batches are served through
-        #: the real threaded pipeline.  The engine drains its in-flight
-        #: buckets and joins every worker before a fault propagates, so
-        #: degradation to CPU-only never leaves workers running.
-        if engine is not None and engine.tree is not tree:
-            raise ValueError(
-                "the overlapped engine must wrap the same HBPlusTree"
-            )
-        self.engine = engine
         self.config = config or ResilienceConfig()
         self.stats = ResilienceStats()
         self.breaker = CircuitBreaker(
@@ -474,29 +463,6 @@ class ResilientHBPlusTree:
                     ) from err
                 self._backoff(attempt)
 
-    def _engine_search(self, q: np.ndarray) -> np.ndarray:
-        """One hybrid batch through the overlapped engine, with kernel
-        retries.  ``OverlappedEngine.lookup_batch`` only raises after
-        draining in-flight buckets and joining all workers, so each
-        retry (and the eventual degradation) starts from a quiesced
-        pipeline with deterministic counters."""
-        cfg = self.config
-        for attempt in range(cfg.max_kernel_retries):
-            try:
-                return self.engine.lookup_batch(q)
-            except (KernelLaunchFault, KernelHang) as err:
-                self.stats.kernel_retries += 1
-                self._handle_fault()
-                if isinstance(err, KernelHang):
-                    self.stats.timeout_ns += cfg.kernel_timeout_ns
-                    self._charge_penalty(cfg.kernel_timeout_ns)
-                if attempt + 1 >= cfg.max_kernel_retries:
-                    raise GpuUnavailable(
-                        f"overlapped engine failed after "
-                        f"{cfg.max_kernel_retries} attempts: {err}"
-                    ) from err
-                self._backoff(attempt)
-
     # ------------------------------------------------------------------
     # serving
 
@@ -509,11 +475,8 @@ class ResilientHBPlusTree:
         return out
 
     def _serve_hybrid(self, q: np.ndarray) -> np.ndarray:
-        if self.engine is not None:
-            out = self._engine_search(q)
-        else:
-            result = self._gpu_search(q)
-            out = self.tree.cpu_finish_bucket(q, result.codes)
+        result = self._gpu_search(q)
+        out = self.tree.cpu_finish_bucket(q, result.codes)
         self.stats.served_hybrid += len(q)
         self.stats.served_ns += (
             self.hybrid_bucket_ns * len(q) / self.bucket_size

@@ -379,6 +379,10 @@ class ImplicitCpuBPlusTree:
         batch merges into the existing sorted contents in O(n + m) —
         far cheaper than re-sorting everything, which is how a real
         deployment implements the paper's periodic batch rebuilds.
+
+        Same outcome as :class:`repro.core.update.SyncUpdater`: upserts
+        apply in arrival order (the last write to a key wins), then
+        deletes.
         """
         up_k = np.asarray(upsert_keys, dtype=self.spec.dtype)
         up_v = np.asarray(upsert_values, dtype=self.spec.dtype)
@@ -386,10 +390,12 @@ class ImplicitCpuBPlusTree:
         if up_k.shape != up_v.shape:
             raise ValueError("upsert keys and values must align")
         if len(up_k):
-            order = np.argsort(up_k, kind="stable")
-            up_k, up_v = up_k[order], up_v[order]
-            if np.any(up_k[1:] == up_k[:-1]):
-                raise ValueError("duplicate keys within the update batch")
+            # first occurrence in the reversed batch = last write
+            up_k, last = np.unique(up_k[::-1], return_index=True)
+            up_v = up_v[::-1][last]
+            if len(del_k):
+                live = ~np.isin(up_k, del_k)
+                up_k, up_v = up_k[live], up_v[live]
 
         flat_keys = self.leaf_keys.reshape(-1)
         mask = flat_keys != self.spec.max_value

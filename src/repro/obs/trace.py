@@ -1,13 +1,13 @@
 """Hierarchical span tracing with Chrome trace-event export.
 
 The paper's overlap argument (section 5.4, Figs 5-6) is a claim about
-*timelines*: bucket ``i``'s CPU leaf stage runs while bucket ``i+1``
-descends on the GPU.  :class:`Tracer` records exactly those timelines
-from the real threaded engine — hierarchical spans with thread identity
-— and exports them in the Chrome trace-event JSON format, so a run can
-be dropped into Perfetto (https://ui.perfetto.dev) and inspected span
-by span: dispatcher screening, GPU descents, PCIe transfers and CPU
-leaf chunks each on their own thread track.
+*timelines*, which :mod:`repro.core.pipeline` models.  :class:`Tracer`
+records the timelines the code actually runs — hierarchical spans with
+thread identity (per bucket: ``bucket`` > ``gpu_descend`` /
+``cpu_finish``, plus PCIe transfers and service calls) — and exports
+them in the Chrome trace-event JSON format, so a run can be dropped
+into Perfetto (https://ui.perfetto.dev) and inspected span by span,
+each thread on its own track.
 
 Design constraints (DESIGN.md §10):
 

@@ -121,6 +121,24 @@ class TestEngineEquivalence:
             engine.lookup_batch(probes), tree.lookup_batch(probes)
         )
 
+    def test_accepts_python_ints_and_narrow_dtypes(self, tree_fixture,
+                                                   request, data):
+        tree = request.getfixturevalue(tree_fixture)
+        keys, _values = data
+        engine = BatchingEngine(tree, bucket_size=64)
+        ref = engine.lookup_batch(keys[:8])
+        as_py = engine.lookup_batch([int(k) for k in keys[:8]])
+        np.testing.assert_array_equal(as_py, ref)
+        narrow = (keys[:8] % np.uint64(2**31)).astype(np.int32)
+        np.testing.assert_array_equal(
+            engine.lookup_batch(narrow),
+            engine.lookup_batch(narrow.astype(np.uint64)),
+        )
+        with pytest.raises(OverflowError):
+            engine.lookup_batch([-1])
+        with pytest.raises(TypeError):
+            engine.lookup_batch(np.array([2.5]))
+
     def test_empty_bucket(self, tree_fixture, request):
         tree = request.getfixturevalue(tree_fixture)
         engine = BatchingEngine(tree)

@@ -140,11 +140,12 @@ class TestMergeRebuild:
         )
         assert merged.items() == rebuilt.items()
 
-    def test_merge_duplicate_batch_rejected(self, data):
+    def test_merge_duplicate_batch_last_write_wins(self, data):
         keys, values = data
         tree = ImplicitCpuBPlusTree(keys, values)
-        with pytest.raises(ValueError):
-            tree.merge_update([5, 5], [1, 2])
+        tree.merge_update([5, 5], [1, 2])
+        assert tree.lookup_batch([5]).tolist() == [2]
+        assert len(tree) == len(keys) + 1
 
     def test_merge_to_empty_rejected(self):
         tree = ImplicitCpuBPlusTree([1, 2], [1, 2])

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.core.batching import BatchingEngine
 from repro.core.hbtree import HBPlusTree
-from repro.core.overlap import OverlappedEngine
 from repro.obs import (
     NULL_OBS,
     NULL_REGISTRY,
@@ -543,40 +542,10 @@ class TestBatchingEngineTracing:
 
 
 @pytest.mark.concurrency
-class TestOverlappedEngineTracing:
-    def test_threaded_spans_on_distinct_tracks(self):
-        keys, values = generate_dataset(900, seed=31)
-        tree = HBPlusTree(keys, values, machine=machine_m1())
-        queries = np.tile(keys[:128], 12)
-
-        def make_engine(t, o):
-            return OverlappedEngine(
-                t, bucket_size=128, strategy="double_buffered",
-                gpu_workers=2, cpu_workers=2, cpu_chunk_min=16, obs=o,
-            )
-
-        ref, ref_counters, out, counters, obs = traced_vs_untraced(
-            tree, make_engine, queries
-        )
-        np.testing.assert_array_equal(out, ref)
-        assert counters == ref_counters
-        assert validate_events(obs.tracer.events) == []
-        names = set(obs.tracer.thread_names().values())
-        # GPU workers, CPU pool and the dispatcher (caller thread) each
-        # announce their own track
-        assert {"overlap-gpu-0", "overlap-gpu-1",
-                "overlap-cpu-0", "overlap-cpu-1"} <= names
-        assert len(names) >= 5
-        span_names = {
-            e["name"] for e in obs.tracer.events if e["ph"] == "B"
-        }
-        assert {"overlap.lookup_batch", "plan_screen", "gpu_descend",
-                "cpu_finish_chunk"} <= span_names
-
-    def test_bucket_end_hooks_thread_safe_completion_order(self):
-        keys, values = generate_dataset(900, seed=33)
-        tree = HBPlusTree(keys, values, machine=machine_m1())
-        queries = np.tile(keys[:128], 8)
+class TestThreadedHookDelivery:
+    def test_bucket_end_hooks_from_several_threads(self):
+        """Engines serving on several threads share one bundle: every
+        bucket's ``bucket_end`` reaches the subscriber exactly once."""
         obs = Observability()
         lock = threading.Lock()
         ends = []
@@ -586,15 +555,30 @@ class TestOverlappedEngineTracing:
                 ends.append(payload["index"])
 
         obs.hooks.subscribe("bucket_end", on_end)
-        tree.attach_obs(obs)
-        try:
-            engine = OverlappedEngine(
-                tree, bucket_size=128, strategy="double_buffered",
-                gpu_workers=2, cpu_workers=2, cpu_chunk_min=16,
-            )
+        engines = []
+        for seed in (33, 34, 35):
+            keys, values = generate_dataset(900, seed=seed)
+            tree = HBPlusTree(keys, values, machine=machine_m1())
+            tree.attach_obs(obs)
+            engines.append((BatchingEngine(tree, bucket_size=128),
+                            np.tile(keys[:128], 8)))
+        barrier = threading.Barrier(len(engines))
+
+        def serve(engine, queries):
+            barrier.wait(timeout=30)
             engine.lookup_batch(queries)
-        finally:
-            tree.attach_obs(NULL_OBS)
-        # completion order may differ from dispatch order, but every
-        # bucket lands exactly once
-        assert sorted(ends) == list(range(8))
+
+        threads = [
+            threading.Thread(target=serve, args=pair, name=f"serve-{i}")
+            for i, pair in enumerate(engines)
+        ]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        assert not any(th.is_alive() for th in threads)
+        assert all(e.stats.buckets == 8 for e, _q in engines)
+        assert sorted(ends) == sorted(list(range(8)) * len(engines))
+        assert validate_events(obs.tracer.events) == []
+        names = set(obs.tracer.thread_names().values())
+        assert {"serve-0", "serve-1", "serve-2"} <= names

@@ -58,20 +58,20 @@ class TestMergeProperties:
         upserts=st.lists(
             st.tuples(st.integers(0, 2**62), st.integers(0, 1000)),
             max_size=60,
-            unique_by=lambda t: t[0],
         ),
-        deletes=st.lists(st.integers(0, 2**62), max_size=30, unique=True),
+        deletes=st.lists(st.integers(0, 2**62), max_size=30),
     )
     @SLOW
     def test_merge_update_matches_dict_model(self, base, upserts, deletes):
         tree = ImplicitCpuBPlusTree(base, base)
-        # semantics: deletes remove, upserts insert/overwrite; a key in
-        # both batches ends up inserted (upsert wins)
+        # semantics (SyncUpdater's): upserts insert/overwrite in arrival
+        # order, so the last write to a key wins; deletes apply after
+        # them, so a key in both batches ends up deleted
         model = dict(zip(base, base))
-        for k in deletes:
-            model.pop(k, None)
         for k, v in upserts:
             model[k] = v
+        for k in deletes:
+            model.pop(k, None)
         up_keys = [k for k, _v in upserts]
         up_vals = [v for _k, v in upserts]
         try:

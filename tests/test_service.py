@@ -159,6 +159,34 @@ class TestBitIdentity:
         assert np.array_equal(sv, bv)
 
 
+@pytest.mark.parametrize("kind", ["hb-regular", "hb-implicit"])
+def test_update_batch_semantics_match_sync_updater(data, m1, kind):
+    """Both tree kinds apply a batch like ``SyncUpdater``: upserts in
+    arrival order (last write wins), then deletes."""
+    keys, values = data
+    svc = IndexService.build(keys, values, ServiceConfig(
+        n_shards=2, kind=kind, machine=m1))
+    ref = bulk_load("hb-regular", keys, values, machine=m1)
+    missing = np.iinfo(np.uint64).max
+    batches = [
+        ([20, 20], [1, 2], []),
+        ([30], [7], [30]),
+    ]
+    rng = np.random.default_rng(5)
+    upk = np.repeat(rng.choice(keys, 30), 2)
+    upv = rng.integers(1, 1 << 20, 60, dtype=np.uint64)
+    batches.append((upk, upv, np.concatenate([upk[:8], keys[:4]])))
+    for upk, upv, dlk in batches:
+        svc.apply_updates(upk, upv, dlk)
+        SyncUpdater(ref).apply(upk, upv, dlk)
+    assert svc.lookup_batch(np.asarray([20, 30], dtype=np.uint64)).tolist() \
+        == [2, missing]
+    sk, sv = svc.contents()
+    bk, bv = _contents(ref)
+    assert np.array_equal(sk, bk)
+    assert np.array_equal(sv, bv)
+
+
 class TestFaultDrill:
     def test_lookups_correct_under_faults(self, data, baseline, m1):
         keys, values = data
