@@ -14,7 +14,10 @@ Usage::
 ``--smoke`` shrinks the dataset for CI.  The script exits non-zero if a
 vectorised path is slower than its scalar reference by more than 1.5x,
 or if sorting a skewed bucket fails to reduce modeled transactions —
-the regression gate for the batch execution engine.
+the regression gate for the batch execution engine.  It also exits
+non-zero if the batched update-cost calibration differs from its
+scalar oracle in any counter or simulated memory state, or is less
+than 5x faster than it.
 
 ``--trace`` benchmarks the observability layer (``repro.obs``) on the
 batch engine and writes ``BENCH_pr4.json`` plus a Perfetto-loadable
@@ -37,6 +40,10 @@ from pathlib import Path
 #: a vectorised path slower than its scalar reference by more than this
 #: factor fails the gate
 MAX_SLOWDOWN = 1.5
+
+#: the batched update-cost calibration must beat its scalar oracle
+#: loop by at least this factor
+MIN_CALIBRATION_SPEEDUP = 5.0
 
 #: tracing may not inflate the engine run's wall-clock past this
 #: factor (generous: span bodies are microseconds next to millisecond
@@ -134,6 +141,7 @@ def main(argv=None) -> int:
     touch = report["touch"]
     zipf = report["lookup"]["zipf"]
     update = report["update"]
+    calibration = report["calibration"]
     print(f"wrote {out} ({report['mode']} mode)")
     print(f"  pack_i_segment speedup vs scalar: {mirror['pack_speedup']:.2f}x")
     print(f"  touch_lines speedup vs per-line:  {touch['speedup']:.2f}x")
@@ -142,6 +150,11 @@ def main(argv=None) -> int:
         f"{zipf['unsorted_transactions_per_query']:.2f} unsorted -> "
         f"{zipf['sorted_transactions_per_query']:.2f} sorted "
         f"({100 * zipf['transaction_reduction']:.1f}% saved)"
+    )
+    print(
+        f"  update-cost calibration vs scalar: {calibration['speedup']:.2f}x "
+        f"({calibration['sample']} keys, identical="
+        f"{calibration['identical']})"
     )
     print(
         "  sync PCIe transfers: "
@@ -168,6 +181,17 @@ def main(argv=None) -> int:
             > update["sync_pernode_pcie_transfers"]):
         failures.append(
             "batched mirror sync issued more PCIe transfers than per-node"
+        )
+    if not calibration["identical"]:
+        failures.append(
+            "batched update-cost calibration differs from the scalar "
+            "oracle (cost, counters or simulated memory state)"
+        )
+    if calibration["speedup"] < MIN_CALIBRATION_SPEEDUP:
+        failures.append(
+            f"batched update-cost calibration is only "
+            f"{calibration['speedup']:.2f}x faster than the scalar loop "
+            f"(need {MIN_CALIBRATION_SPEEDUP}x)"
         )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

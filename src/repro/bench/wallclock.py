@@ -15,7 +15,11 @@ times the paths the batch engine and the vectorization work touch:
 * **update** — the async batch updater wall-clock and the batched
   dirty-node mirror sync (PCIe transfer counts batched vs per-node),
 * **touch** — batched :meth:`MemorySystem.touch_lines` vs the
-  per-line loop.
+  per-line loop,
+* **calibration** — the write path's batched update-cost calibration
+  (one :meth:`MemorySystem.touch_stream` replay) vs its scalar oracle
+  loop of instrumented lookups, with an identity check of the result,
+  the modeled counters and the simulated memory state.
 
 ``run_wallclock`` returns one JSON-serialisable dict; the CLI wrapper
 ``benchmarks/bench_wallclock.py`` writes it to ``BENCH_pr2.json`` and
@@ -43,7 +47,12 @@ import numpy as np
 
 from repro.core.batching import BatchingEngine, measure_sorted_delta
 from repro.core.hbtree import HBPlusTree
-from repro.core.update import AsyncBatchUpdater, SyncUpdater
+from repro.core.update import (
+    AsyncBatchUpdater,
+    SyncUpdater,
+    _measure_update_cost_ns,
+    _measure_update_cost_scalar_ns,
+)
 from repro.platform.configs import machine_m1
 from repro.workloads.generators import generate_dataset, generate_skewed_queries
 from repro.workloads.queries import make_insert_batch, make_point_queries
@@ -177,6 +186,37 @@ def _bench_touch(tree: HBPlusTree, n_touches: int,
         "touches": int(n_touches),
         "scalar_wall_ns": scalar_ns,
         "batched_wall_ns": batched_ns,
+        "speedup": scalar_ns / max(1.0, batched_ns),
+    }
+
+
+def _bench_calibration(keys, values, machine, repeats: int,
+                       sample_size: int = 512) -> Dict[str, Any]:
+    """Batched vs scalar update-cost calibration on twin trees.
+
+    Both twins run the same number of calibrations, so the identity
+    check covers the carried-over cache, TLB and prefetcher state too.
+    """
+    fast = HBPlusTree(keys, values, machine=machine, fill=0.7)
+    slow = HBPlusTree(keys, values, machine=machine, fill=0.7)
+    sample, _vals = make_insert_batch(keys, sample_size, 64, seed=97)
+    costs = (_measure_update_cost_ns(fast, sample),
+             _measure_update_cost_scalar_ns(slow, sample))
+    identical = costs[0] == costs[1] and fast.mem.state() == slow.mem.state()
+    batched_ns = time_best_ns(
+        lambda: _measure_update_cost_ns(fast, sample), repeats
+    )
+    scalar_ns = time_best_ns(
+        lambda: _measure_update_cost_scalar_ns(slow, sample), repeats
+    )
+    identical = identical and fast.mem.state() == slow.mem.state()
+    return {
+        "sample": int(len(sample)),
+        "per_update_ns": costs[0],
+        "scalar_per_update_ns": costs[1],
+        "identical": bool(identical),
+        "batched_wall_ns": batched_ns,
+        "scalar_wall_ns": scalar_ns,
         "speedup": scalar_ns / max(1.0, batched_ns),
     }
 
@@ -319,5 +359,6 @@ def run_wallclock(smoke: bool = False) -> Dict[str, Any]:
         "lookup": _bench_lookup(tree, queries, zipf_queries, repeats),
         "update": _bench_update(keys, values, machine, batch),
         "touch": _bench_touch(tree, min(n_queries, 1 << 14), repeats),
+        "calibration": _bench_calibration(keys, values, machine, repeats),
     }
     return report

@@ -187,10 +187,7 @@ class RegularModeBalancer(SplitCostModel):
         spec = self.tree.spec
         if sample is None:
             rng = np.random.default_rng(23)
-            stored = np.asarray(
-                [k for k, _v in self.tree.cpu_tree.items()],
-                dtype=spec.dtype,
-            )
+            stored = self.tree.cpu_tree.stored_keys()
             sample = rng.choice(
                 stored, size=min(sample_size, len(stored)), replace=False
             )

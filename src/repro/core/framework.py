@@ -496,16 +496,7 @@ class RegularHBAdapter(LeafStoredTreeAdapter):
     def cpu_descend(self, queries, levels):
         # full descent only (used by cpu-only mode): returns leaf codes
         t = self.tree.cpu_tree
-        q = np.asarray(queries, dtype=self.spec.dtype)
-        node = np.full(len(q), t.root, dtype=np.int64)
-        for level in range(t.height - 1, 0, -1):
-            keys = t.upper.keys[node]
-            slot = np.sum(keys < q[:, None], axis=1)
-            slot = np.minimum(slot, np.maximum(t.upper.size[node] - 1, 0))
-            node = t.upper.refs[node, slot].astype(np.int64)
-        keys = t.last.keys[node]
-        line = np.sum(keys < q[:, None], axis=1)
-        line = np.minimum(line, np.maximum(t.last.size[node] - 1, 0))
+        node, line = t.descend_batch(queries)
         return node * t.fanout + line
 
     def gpu_resume(self, queries, start_levels, start_nodes):
@@ -528,31 +519,24 @@ class RegularHBAdapter(LeafStoredTreeAdapter):
         mem = self.tree.mem
         q = np.asarray(sample, dtype=self.spec.dtype)
         tree._ensure_segments()
-        kpl = self.spec.keys_per_line
+        segments = (tree.i_segment, tree.l_segment)
         mem.reset_counters()
         profiles: List[CpuQueryProfile] = []
-        node = np.full(len(q), tree.root, dtype=np.int64)
-        for level in range(tree.height - 1, -1, -1):
-            pool = tree.last if level == 0 else tree.upper
-            keys = pool.keys[node]
-            slot = np.sum(keys < q[:, None], axis=1)
-            slot = np.minimum(slot, np.maximum(pool.size[node] - 1, 0))
-            before = mem.counters.cache_misses
-            for n, g in zip(node.tolist(), (slot // kpl).tolist()):
-                tree._touch_inner(level, int(n), int(g))
-            misses = (mem.counters.cache_misses - before) / len(q)
+        # each level's lines replay in the scalar loop's order (per
+        # query: index, key, ref line), then level 0's leaf lines
+        for level, node, slot in tree.descend_levels(q):
+            lines = tree.inner_lines(level, node, slot)
+            misses = mem.touch_stream(
+                segments, np.zeros(lines.shape, dtype=np.int64), lines
+            ) / len(q)
             profiles.append(CpuQueryProfile(
                 lines=3.0, misses=misses, tlb_small=0.0, tlb_huge=0.0,
                 node_searches=2.0,
             ))
-            if level == 0:
-                lines = slot
-                before = mem.counters.cache_misses
-                for n, ln in zip(node.tolist(), lines.tolist()):
-                    tree._touch_leaf_line(int(n), int(ln))
-                leaf_misses = (mem.counters.cache_misses - before) / len(q)
-            else:
-                node = pool.refs[node, slot].astype(np.int64)
+        leaf_lines = node * tree.leaves.lines_per_leaf + slot
+        leaf_misses = mem.touch_stream(
+            segments, np.ones(len(q), dtype=np.int64), leaf_lines
+        ) / len(q)
         leaf = CpuQueryProfile(
             lines=1.0, misses=leaf_misses, tlb_small=0.5, tlb_huge=0.0,
             node_searches=1.0,

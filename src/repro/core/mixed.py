@@ -118,9 +118,7 @@ class ConcurrentQueryEngine:
 
     def _measure_costs(self):
         tree = self.tree
-        all_keys = np.asarray(
-            [k for k, _v in tree.cpu_tree.items()], dtype=tree.spec.dtype
-        )
+        all_keys = tree.cpu_tree.stored_keys()
         if len(all_keys) == 0:
             return 100.0, 500.0
         rng = np.random.default_rng(67)

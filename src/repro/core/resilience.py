@@ -302,10 +302,7 @@ class ResilientHBPlusTree:
         with ctx:
             machine = self.tree.machine
             rng = np.random.default_rng(11)
-            stored = np.asarray(
-                [k for k, _v in self.tree.cpu_tree.items()],
-                dtype=self.tree.spec.dtype,
-            )
+            stored = self.tree.cpu_tree.stored_keys()
             sample = rng.choice(stored, size=min(2048, len(stored)))
             self._probe_queries = sample[:8].copy()
             costs = self.tree.bucket_costs(sample=sample)

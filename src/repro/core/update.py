@@ -101,18 +101,32 @@ class ImplicitRebuildStats:
 def _measure_update_cost_ns(tree: HBPlusTree, sample_keys: np.ndarray) -> float:
     """Per-update cost of one thread: descend + leaf modification.
 
-    Measured by instrumented descents over a sample, converted by the
+    Measured by instrumented descents over a sample (one batched
+    replay, counter- and state-identical to the scalar
+    :func:`_measure_update_cost_scalar_ns` oracle), converted by the
     cost model without software pipelining (updates are dependent
     operations and cannot be pipelined like lookups).
     """
+    tree.mem.reset_counters()
+    tree.cpu_tree.lookup_batch_instrumented(sample_keys)
+    return _update_cost_from_counters(tree)
+
+
+def _measure_update_cost_scalar_ns(tree: HBPlusTree,
+                                   sample_keys: np.ndarray) -> float:
+    """Scalar oracle of :func:`_measure_update_cost_ns`: one
+    instrumented ``lookup`` per sample key."""
+    tree.mem.reset_counters()
+    for key in np.asarray(sample_keys).tolist():
+        tree.cpu_tree.lookup(int(key), instrument=True)
+    return _update_cost_from_counters(tree)
+
+
+def _update_cost_from_counters(tree: HBPlusTree) -> float:
+    """Price the memory counters of a calibration run per update."""
     cpu_tree = tree.cpu_tree
-    mem = tree.mem
-    mem.reset_counters()
-    for key in sample_keys.tolist():
-        cpu_tree.lookup(int(key), instrument=True)
-    counters = mem.counters
     profile = CpuQueryProfile.from_counters(
-        counters, node_searches_per_query=2.0 * cpu_tree.height + 1
+        tree.mem.counters, node_searches_per_query=2.0 * cpu_tree.height + 1
     )
     model = CpuCostModel(tree.machine.cpu, pipeline_len=1, threads=1)
     # leaf modification: shifting half a big leaf on average (write

@@ -425,6 +425,11 @@ class ImplicitCpuBPlusTree:
         vs = self.leaf_values.reshape(-1)[mask]
         return list(zip(ks.tolist(), vs.tolist()))
 
+    def stored_keys(self) -> np.ndarray:
+        """All stored keys in key order (vectorised :meth:`items` twin)."""
+        flat = self.leaf_keys.reshape(-1)
+        return flat[flat != self.spec.max_value]
+
     def __len__(self) -> int:
         return self.num_tuples
 

@@ -36,6 +36,7 @@ import numpy as np
 from repro.cpu.node_search import (
     NodeSearchAlgorithm,
     get_search_function,
+    search_costs,
     search_leaf_line,
 )
 from repro.keys import KeySpec, key_spec
@@ -322,7 +323,18 @@ class RegularCpuBPlusTree:
 
     def _search_inner(self, pool: _InnerPool, node: int, key: int,
                       counters=None) -> int:
-        """Return the child slot for ``key`` (clamped to node size)."""
+        """Return the child slot for ``key`` (clamped to node size).
+
+        Instrumented searches run the node-search emulation, which
+        charges its comparisons and vector ops to ``counters``.  Plain
+        searches take the same slot from one ``searchsorted`` over the
+        sorted key row: the count of keys below ``key`` is what every
+        algorithm returns on a sorted line.
+        """
+        if counters is None:
+            # NB: a Python int above 2**53 would compare as float64
+            slot = int(np.searchsorted(pool.keys[node], self.spec.dtype(key)))
+            return min(slot, max(int(pool.size[node]) - 1, 0))
         search = get_search_function(self.algorithm)
         kpl = self.spec.keys_per_line
         group = search(pool.index_line[node], key, counters)
@@ -376,15 +388,14 @@ class RegularCpuBPlusTree:
     def lookup_batch(self, queries: Sequence[int]) -> np.ndarray:
         """Vectorised point lookups; the sentinel marks not-found."""
         q = np.asarray(queries, dtype=self.spec.dtype)
-        node = np.full(len(q), self.root, dtype=np.int64)
-        for _level in range(self.height - 1, 0, -1):
-            keys = self.upper.keys[node]
-            slot = np.sum(keys < q[:, None], axis=1)
-            slot = np.minimum(slot, np.maximum(self.upper.size[node] - 1, 0))
-            node = self.upper.refs[node, slot]
-        keys = self.last.keys[node]
-        line = np.sum(keys < q[:, None], axis=1)
-        line = np.minimum(line, np.maximum(self.last.size[node] - 1, 0))
+        node, line = self.descend_batch(q)
+        return self._finish_batch(q, node, line)[0]
+
+    def _finish_batch(self, q: np.ndarray, node: np.ndarray,
+                      line: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Resolve descended queries in their leaf lines; returns the
+        values (sentinel marks not-found) and each query's in-line
+        search result."""
         p = self.spec.leaf_pairs_per_line
         base = line * p
         rows = self.leaves.keys[node[:, None], base[:, None] + np.arange(p)]
@@ -394,7 +405,22 @@ class RegularCpuBPlusTree:
         out = np.full(len(q), self.spec.max_value, dtype=self.spec.dtype)
         idx = np.arange(len(q))[found]
         out[found] = self.leaves.values[node[idx], base[idx] + pos_c[idx]]
-        return out
+        return out, pos
+
+    def descend_levels(self, queries: np.ndarray):
+        """Vectorised descent from the root: yields one ``(level, node,
+        slot)`` triple of arrays per inner level, level 0 last, where
+        ``slot`` is the clamped child slot :meth:`_search_inner` picks
+        (at level 0, the leaf line)."""
+        q = np.asarray(queries, dtype=self.spec.dtype)
+        node = np.full(len(q), self.root, dtype=np.int64)
+        for level in range(self.height - 1, -1, -1):
+            pool = self._pool(level)
+            slot = np.sum(pool.keys[node] < q[:, None], axis=1)
+            slot = np.minimum(slot, np.maximum(pool.size[node] - 1, 0))
+            yield level, node, slot.astype(np.int64, copy=False)
+            if level:
+                node = pool.refs[node, slot]
 
     def descend_batch(self, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorised inner descent; returns ``(last_node, leaf_line)``.
@@ -402,17 +428,67 @@ class RegularCpuBPlusTree:
         The uninstrumented batch twin of :meth:`_descend` — used by the
         batch updater to classify a whole update group at once.
         """
+        *_upper, (_level, node, line) = self.descend_levels(queries)
+        return node, line
+
+    def inner_lines(self, level: int, node: np.ndarray,
+                    slot: np.ndarray) -> np.ndarray:
+        """I-segment lines of the node searches at ``(level, node,
+        slot)``: an ``(n, 3)`` array of index, key and ref line — the
+        batch twin of :meth:`_touch_inner`'s access order."""
+        kpl = self.spec.keys_per_line
+        base = node + (self.upper.count if level == 0 else 0)
+        line0 = base * self.lines_per_inner
+        group = slot // kpl
+        return np.stack(
+            [line0, line0 + 1 + group, line0 + 1 + kpl + group], axis=1
+        )
+
+    def lookup_batch_instrumented(self, queries: Sequence[int]) -> np.ndarray:
+        """Batched ``lookup(k, instrument=True)`` over ``queries`` in
+        order: the same values, the same modeled counters and the same
+        simulated cache, TLB and prefetcher state.
+
+        The descent is vectorised; each key's lines are emitted in the
+        scalar order (index, key and ref line per level, then the leaf
+        line) and replayed in one :meth:`MemorySystem.touch_stream`.
+        The node-search charges are summed by :func:`search_costs`.
+        The scalar :meth:`lookup` stays the oracle.
+        """
         q = np.asarray(queries, dtype=self.spec.dtype)
-        node = np.full(len(q), self.root, dtype=np.int64)
-        for _level in range(self.height - 1, 0, -1):
-            keys = self.upper.keys[node]
-            slot = np.sum(keys < q[:, None], axis=1)
-            slot = np.minimum(slot, np.maximum(self.upper.size[node] - 1, 0))
-            node = self.upper.refs[node, slot]
-        keys = self.last.keys[node]
-        line = np.sum(keys < q[:, None], axis=1)
-        line = np.minimum(line, np.maximum(self.last.size[node] - 1, 0))
-        return node, line.astype(np.int64)
+        n = len(q)
+        if n == 0 or self.mem is None:
+            return self.lookup_batch(q)
+        self._ensure_segments()
+        kpl = self.spec.keys_per_line
+        rows = np.arange(n)
+        comparisons = simd_ops = 0
+        parts = []
+        for level, node, slot in self.descend_levels(q):
+            pool = self._pool(level)
+            # the two-step node search: index line, then one key line
+            k_index = np.sum(pool.index_line[node] < q[:, None], axis=1)
+            group = np.minimum(k_index, kpl - 1)
+            key_line = pool.keys[node].reshape(n, kpl, kpl)[rows, group]
+            k_key = np.sum(key_line < q[:, None], axis=1)
+            for k in (k_index, k_key):
+                c, o = search_costs(self.algorithm, k, kpl)
+                comparisons += c
+                simd_ops += o
+            parts.append(self.inner_lines(level, node, slot))
+        out, pos = self._finish_batch(q, node, slot)
+        c, o = search_costs(self.algorithm, pos,
+                            self.spec.leaf_pairs_per_line, leaf=True)
+        parts.append((node * self.leaves.lines_per_leaf + slot)[:, None])
+        lines = np.concatenate(parts, axis=1)
+        seg_ids = np.zeros(lines.shape, dtype=np.int64)
+        seg_ids[:, -1] = 1
+        self.mem.touch_stream((self.i_segment, self.l_segment), seg_ids, lines)
+        counters = self.mem.counters
+        counters.key_comparisons += comparisons + c
+        counters.simd_ops += simd_ops + o
+        counters.queries += n
+        return out
 
     def leaf_chain(self) -> np.ndarray:
         """Big-leaf pool indexes in leaf-chain (key) order."""
@@ -805,8 +881,21 @@ class RegularCpuBPlusTree:
         + shift.  Duplicate keys collapse to the last value, matching
         sequential insert semantics.  A leaf whose merged occupancy
         would exceed capacity falls back to per-op :meth:`insert` for
-        its group (the split path); everything else never splits, so
-        the final tree state is identical to the sequential loop.
+        its group (the split path).
+
+        What holds against the per-op :meth:`insert` loop:
+
+        * the stored contents (:meth:`items`) are always equal;
+        * when no group overflows, the compact layout is equal too —
+          every pool array, ``root`` and ``height`` — except the
+          ``version`` stamps, which count writes: a rewritten leaf is
+          stamped once, not once per op;
+        * when a group overflows, its splits run in leaf order rather
+          than op order, so with several splits the new leaf ids, the
+          chain order and the ``version`` arrays can differ.
+
+        (The gapped subclass re-spreads each rewritten leaf's gaps, so
+        only its contents match the loop.)
 
         ``nodes`` may carry precomputed descent targets (from a caller
         that already classified the batch); they must come from this

@@ -19,7 +19,9 @@ model charges compute time for.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cpu import simd
 from repro.memsim.metrics import AccessCounters
@@ -155,6 +157,35 @@ def search_leaf_line(
         # movemask/popcount pair
         counters.simd_ops += 2 * max(1, n * 8 // 32) + 2
     return k
+
+
+def search_costs(
+    algorithm: NodeSearchAlgorithm, k: np.ndarray, n: int,
+    leaf: bool = False,
+) -> Tuple[int, int]:
+    """Summed ``(key_comparisons, simd_ops)`` of many searches.
+
+    The vectorised twin of the counter charges above: ``k`` holds each
+    search's result over a sorted ``n``-key line, and the charge of
+    every algorithm is a function of ``(k, n)`` alone.  ``leaf=True``
+    prices :func:`search_leaf_line` instead of the inner-node search.
+    """
+    k = np.asarray(k, dtype=np.int64)
+    m = len(k)
+    if algorithm is NodeSearchAlgorithm.SEQUENTIAL:
+        # the scan stops on the first key >= query
+        return int(np.minimum(k + 1, n).sum()), 0
+    if leaf:
+        return m * n, m * (2 * max(1, n * 8 // 32) + 2)
+    if n not in (8, 16):
+        raise ValueError(f"SIMD node search expects 8 or 16 keys, got {n}")
+    if algorithm is NodeSearchAlgorithm.LINEAR_SIMD:
+        return m * n, m * 8
+    if n == 8:
+        return m * 4, m * 6
+    # 32-bit hierarchical: the scalar probe is skipped when every
+    # boundary key is below the query
+    return int(np.where(k == n, 8, 9).sum()), m * 3
 
 
 _DISPATCH: dict = {

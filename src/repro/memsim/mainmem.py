@@ -328,6 +328,135 @@ class MemorySystem:
         c.tlb_misses_huge = tc.tlb_misses_huge
         return misses
 
+    def touch_stream(self, segments, seg_ids, lines) -> int:
+        """Replay an interleaved multi-segment line stream; returns the
+        total misses.
+
+        Element ``i`` accesses line ``lines[i]`` of
+        ``segments[seg_ids[i]]``.  Counter- AND state-identical to
+        calling :meth:`touch_line` on each element in order — every
+        :class:`AccessCounters` field, the cache sets' LRU order, both
+        TLB pools and the prefetcher's stream table and ``issued`` —
+        but the address arithmetic and bounds check are vectorised and
+        the per-line work is one tight loop over plain ints.  Unlike
+        :meth:`touch_lines` it takes any interleaving of segments (an
+        instrumented descent alternates the I- and L-segment), and it
+        validates the whole stream before touching anything.
+        """
+        import numpy as np
+
+        sid = np.asarray(seg_ids, dtype=np.int64).reshape(-1)
+        idx = np.asarray(lines, dtype=np.int64).reshape(-1)
+        if len(sid) != len(idx):
+            raise ValueError("seg_ids and lines must have equal length")
+        n = len(idx)
+        if n == 0:
+            return 0
+        ls = self.line_size
+        bases = np.asarray([s.base for s in segments], dtype=np.int64)
+        page_sizes = np.asarray([s.page_size for s in segments],
+                                dtype=np.int64)
+        for k in np.unique(sid).tolist():
+            mine = idx[sid == k]
+            # validating the extremes covers every index between
+            segments[k].address_of(int(mine.min()) * ls)
+            segments[k].address_of(int(mine.max()) * ls + ls - 1)
+        line_arr = (bases[sid] + idx * ls) // ls
+        vpages = ((line_arr * ls) // page_sizes[sid]).tolist()
+        line_list = line_arr.tolist()
+        sid_list = sid.tolist()
+
+        tlb = self.tlb
+        small_kind = [s.page_kind is PageKind.SMALL for s in segments]
+        pool_of = [tlb._small if small else tlb._huge for small in small_kind]
+        pools = [pool._entries for pool in pool_of]
+        caps = [pool.capacity for pool in pool_of]
+        seg_base = bases.tolist()
+        seg_last = [(s.end - 1) // ls for s in segments]
+        tlb_hits = 0
+        tlb_small_misses = 0
+        tlb_huge_misses = 0
+
+        sets = self.cache._sets
+        num_sets = self.cache.num_sets
+        assoc = self.cache.associativity
+        misses = 0
+
+        prefetcher = self.prefetcher
+        prefetches = 0
+        if prefetcher is not None:
+            streams = prefetcher._streams
+            degree = prefetcher.degree
+            max_streams = prefetcher.max_streams
+        cur = -1  # stream id owning the table's MRU entry, held locally
+        last = None
+        for k, vp, line in zip(sid_list, vpages, line_list):
+            entries = pools[k]
+            if vp in entries:
+                entries.move_to_end(vp)
+                tlb_hits += 1
+            else:
+                if len(entries) >= caps[k]:
+                    entries.popitem(last=False)
+                entries[vp] = None
+                if small_kind[k]:
+                    tlb_small_misses += 1
+                else:
+                    tlb_huge_misses += 1
+            cache_set = sets[line % num_sets]
+            if line in cache_set:
+                cache_set.move_to_end(line)
+            else:
+                if len(cache_set) >= assoc:
+                    cache_set.popitem(last=False)
+                cache_set[line] = None
+                misses += 1
+            if prefetcher is None:
+                continue
+            base = seg_base[k]
+            if base != cur:
+                # switch streams: park the held entry, then move the
+                # new one to MRU exactly as ``observe`` would
+                if cur != -1:
+                    streams[cur] = last
+                last = streams.get(base)
+                streams[base] = line
+                streams.move_to_end(base)
+                while len(streams) > max_streams:
+                    streams.popitem(last=False)
+                cur = base
+            if last is not None and line == last + 1:
+                end = min(line + degree, seg_last[k])
+                for target in range(line + 1, end + 1):
+                    target_set = sets[target % num_sets]
+                    if target not in target_set:
+                        if len(target_set) >= assoc:
+                            target_set.popitem(last=False)
+                        target_set[target] = None
+                        prefetches += 1
+            last = line
+        if prefetcher is not None:
+            streams[cur] = last
+            prefetcher.issued += prefetches
+
+        tc = tlb.counters
+        tc.tlb_hits += tlb_hits
+        tc.tlb_misses_small += tlb_small_misses
+        tc.tlb_misses_huge += tlb_huge_misses
+        cc = self.cache.counters
+        cc.line_accesses += n
+        cc.cache_hits += n - misses
+        cc.cache_misses += misses
+        c = self.counters
+        c.prefetches += prefetches
+        c.line_accesses += n
+        c.cache_hits += n - misses
+        c.cache_misses += misses
+        c.tlb_hits = tc.tlb_hits
+        c.tlb_misses_small = tc.tlb_misses_small
+        c.tlb_misses_huge = tc.tlb_misses_huge
+        return misses
+
     def publish_metrics(self, metrics, **labels) -> None:
         """Export the access counters into a
         :class:`repro.obs.MetricsRegistry` as ``mem.*`` gauges.
@@ -339,6 +468,23 @@ class MemorySystem:
         from repro.obs.export import publish_memory
 
         publish_memory(metrics, self, **labels)
+
+    def state(self) -> tuple:
+        """Every observable of the hierarchy, for identity checks:
+        the three counter sets, each cache set's lines in LRU order,
+        both TLB pools in LRU order, and the prefetcher's stream table
+        and issue count."""
+        prefetcher = self.prefetcher
+        return (
+            self.counters.snapshot(),
+            self.cache.counters.snapshot(),
+            self.tlb.counters.snapshot(),
+            [list(s) for s in self.cache._sets],
+            list(self.tlb._small._entries),
+            list(self.tlb._huge._entries),
+            None if prefetcher is None
+            else (list(prefetcher._streams.items()), prefetcher.issued),
+        )
 
     def reset_counters(self) -> None:
         """Zero all counters (keeps cache/TLB *contents* warm)."""

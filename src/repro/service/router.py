@@ -38,6 +38,16 @@ def group_by_shard(shard_ids: np.ndarray, n_shards: int) -> List[np.ndarray]:
     return [np.flatnonzero(ids == s) for s in range(n_shards)]
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of integer keys by one sort and an
+    adjacent-difference mask — same result, without the hash-based
+    path ``np.unique`` takes for integer input."""
+    sk = np.sort(keys, axis=None)
+    if len(sk) == 0:
+        return sk
+    return sk[np.r_[True, sk[1:] != sk[:-1]]]
+
+
 class RangeRouter:
     """n-1 ascending cut keys -> n contiguous key ranges."""
 
@@ -68,9 +78,9 @@ class RangeRouter:
             raise ValueError(
                 f"cannot cut {len(keys)} keys into {n_shards} ranges"
             )
-        sk = np.unique(keys)
+        sk = _sorted_unique(keys)
         pos = (np.arange(1, n_shards) * len(sk)) // n_shards
-        cuts = np.unique(sk[pos])
+        cuts = _sorted_unique(sk[pos])
         return cls(cuts, dtype=keys.dtype, epoch=epoch)
 
     def shard_of(self, keys: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Memory-hierarchy simulator: allocator, TLB, cache, facade."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memsim.allocator import PageKind, SegmentAllocator
 from repro.memsim.cache import SetAssociativeCache
@@ -222,23 +224,6 @@ class TestMemorySystem:
         assert mem.allocator.huge_page == m1.cpu.huge_page
 
 
-def _full_state(mem):
-    """Every observable of the hierarchy: counters, cache-set key
-    order, TLB pool key order, prefetcher stream table + issue count."""
-    return (
-        dict(vars(mem.counters)),
-        dict(vars(mem.cache.counters)),
-        dict(vars(mem.tlb.counters)),
-        [list(s.keys()) for s in mem.cache._sets],
-        list(mem.tlb._small._entries.keys()),
-        list(mem.tlb._huge._entries.keys()),
-        None if mem.prefetcher is None else (
-            list(mem.prefetcher._streams.items()),
-            mem.prefetcher.issued,
-        ),
-    )
-
-
 class TestTouchLinesEquivalence:
     """``touch_lines`` promises to be counter- AND state-identical to
     a per-index ``touch_line`` loop — the run-wholesale fast path and
@@ -290,7 +275,7 @@ class TestTouchLinesEquivalence:
             m_ref = sum(ref.touch_line(seg_ref, i) for i in batch)
             m_fast = fast.touch_lines(seg_fast, np.asarray(batch))
             assert m_fast == m_ref
-            assert _full_state(fast) == _full_state(ref)
+            assert fast.state() == ref.state()
 
     def test_huge_pages_and_cross_segment_streams(self):
         import numpy as np
@@ -314,16 +299,16 @@ class TestTouchLinesEquivalence:
             m_fast = fast.touch_lines(segs_fast[which],
                                       np.asarray(batch))
             assert m_fast == m_ref
-            assert _full_state(fast) == _full_state(ref)
+            assert fast.state() == ref.state()
 
     def test_empty_batch_is_a_no_op(self):
         import numpy as np
 
         mem = MemorySystem(llc_bytes=1 << 16)
         seg = mem.allocate("s", 4096, PageKind.SMALL)
-        state = _full_state(mem)
+        state = mem.state()
         assert mem.touch_lines(seg, np.asarray([], dtype=np.int64)) == 0
-        assert _full_state(mem) == state
+        assert mem.state() == state
 
     def test_out_of_segment_rejected(self):
         import numpy as np
@@ -332,6 +317,78 @@ class TestTouchLinesEquivalence:
         seg = mem.allocate("s", 4096, PageKind.SMALL)
         with pytest.raises(ValueError):
             mem.touch_lines(seg, np.asarray([0, 64]))
+
+
+class TestTouchStreamEquivalence:
+    """``touch_stream`` replays an interleaved multi-segment stream and
+    must match a per-element ``touch_line`` loop on every observable:
+    counters, cache LRU order, both TLB pools, the prefetcher's stream
+    table and its issue count — across calls, so carried-over state is
+    checked too."""
+
+    #: ten segments (more than the prefetcher's eight stream slots),
+    #: alternating small and huge pages
+    SEGMENTS = 10
+    SEG_LINES = 128
+
+    @staticmethod
+    def _system(geom):
+        mem = MemorySystem(huge_page=1 << 16, **geom)
+        segs = [
+            mem.allocate(f"s{i}", 64 * TestTouchStreamEquivalence.SEG_LINES,
+                         PageKind.SMALL if i % 2 else PageKind.HUGE)
+            for i in range(TestTouchStreamEquivalence.SEGMENTS)
+        ]
+        return mem, segs
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        geom=st.sampled_from([
+            dict(llc_bytes=2048, associativity=2),
+            dict(llc_bytes=4096, associativity=4, prefetch_degree=3),
+            dict(llc_bytes=4096, associativity=4, prefetch_degree=0),
+            dict(llc_bytes=1 << 16, tlb_entries_small=2, stlb_entries=2,
+                 tlb_entries_huge=1),
+        ]),
+        batches=st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, SEGMENTS - 1),    # segment
+                    st.integers(0, SEG_LINES - 1),   # run start
+                    st.integers(1, 6),               # run length
+                ),
+                max_size=12,
+            ),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_matches_per_line_loop(self, geom, batches):
+        import numpy as np
+
+        ref, segs_ref = self._system(geom)
+        fast, segs_fast = self._system(geom)
+        for runs in batches:
+            ids, lines = [], []
+            for seg, start, length in runs:
+                # consecutive runs confirm prefetch streams
+                run = range(start, min(start + length, self.SEG_LINES))
+                ids += [seg] * len(run)
+                lines += list(run)
+            m_ref = sum(
+                ref.touch_line(segs_ref[s], i) for s, i in zip(ids, lines)
+            )
+            m_fast = fast.touch_stream(
+                segs_fast, np.asarray(ids, dtype=np.int64),
+                np.asarray(lines, dtype=np.int64),
+            )
+            assert m_fast == m_ref
+            assert fast.state() == ref.state()
+
+    @pytest.mark.parametrize("line", [-1, SEG_LINES])
+    def test_out_of_segment_rejected(self, line):
+        mem, segs = self._system(dict(llc_bytes=4096, associativity=4))
+        with pytest.raises(ValueError):
+            mem.touch_stream(segs, [0, 1], [0, line])
 
 
 class TestPageConfig:

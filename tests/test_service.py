@@ -65,6 +65,23 @@ class TestRangeRouter:
         counts = np.bincount(r.shard_of(keys), minlength=4)
         assert counts.tolist() == [25, 25, 25, 25]
 
+    @pytest.mark.parametrize("shape", ["sorted", "unsorted", "duplicates"])
+    @pytest.mark.parametrize("n_shards", [2, 4, 7])
+    def test_from_keys_cuts_match_np_unique(self, shape, n_shards):
+        rng = np.random.default_rng(8)
+        if shape == "duplicates":
+            # few distinct values, each repeated many times
+            keys = rng.integers(0, 40, size=5000).astype(np.uint64)
+        else:
+            keys = rng.integers(0, 2**63, size=5000, dtype=np.uint64)
+            if shape == "sorted":
+                keys = np.sort(keys)
+        sk = np.unique(keys)
+        want = np.unique(sk[(np.arange(1, n_shards) * len(sk)) // n_shards])
+        r = RangeRouter.from_keys(keys, n_shards)
+        assert r.cuts.dtype == keys.dtype
+        assert r.cuts.tolist() == want.tolist()
+
     def test_shard_span_clips(self):
         r = RangeRouter([10, 20])
         assert r.shard_span(0, 5) == (0, 0)

@@ -255,6 +255,56 @@ class TestVectorizedKeepPath:
         assert list(batch_tree.items()) == list(scalar_tree.items())
         batch_tree.check_invariants()
 
+    @staticmethod
+    def _layout(tree):
+        """Every pool array (live prefix) except the version stamps,
+        plus the tree's shape."""
+        out = {"root": tree.root, "height": tree.height,
+               "first": tree._first_leaf, "n": tree.num_tuples}
+        for name in ("upper", "last", "leaves"):
+            pool = getattr(tree, name)
+            for field in ("keys", "values", "index_line", "refs", "size",
+                          "parent", "next", "prev"):
+                if hasattr(pool, field):
+                    out[f"{name}.{field}"] = getattr(pool, field)[
+                        : pool.count
+                    ].tolist()
+        return out
+
+    def test_layout_matches_loop_when_no_group_overflows(self, base_data):
+        keys, values = base_data
+        batch_tree = RegularCpuBPlusTree(keys, values, fill=0.7)
+        loop_tree = RegularCpuBPlusTree(keys, values, fill=0.7)
+        rng = np.random.default_rng(74)
+        bk = np.concatenate([
+            rng.integers(1, 2**63, size=300, dtype=np.uint64),
+            rng.choice(keys, size=200),  # overwrites of stored keys
+        ])
+        bv = bk ^ 0x77
+        leaves_before = batch_tree.leaves.count
+        batch_tree.insert_batch(bk, bv)
+        assert batch_tree.leaves.count == leaves_before  # nothing split
+        for k, v in zip(bk.tolist(), bv.tolist()):
+            loop_tree.insert(int(k), int(v))
+        assert list(batch_tree.items()) == list(loop_tree.items())
+        assert self._layout(batch_tree) == self._layout(loop_tree)
+
+    def test_contents_match_loop_when_groups_overflow(self, base_data):
+        keys, values = base_data
+        # packed leaves: every new key's group overflows and splits
+        batch_tree = RegularCpuBPlusTree(keys, values, fill=1.0)
+        loop_tree = RegularCpuBPlusTree(keys, values, fill=1.0)
+        rng = np.random.default_rng(75)
+        bk = rng.integers(1, 2**63, size=600, dtype=np.uint64)
+        bv = bk ^ 0x99
+        leaves_before = batch_tree.leaves.count
+        batch_tree.insert_batch(bk, bv)
+        assert batch_tree.leaves.count > leaves_before + 1
+        for k, v in zip(bk.tolist(), bv.tolist()):
+            loop_tree.insert(int(k), int(v))
+        assert list(batch_tree.items()) == list(loop_tree.items())
+        batch_tree.check_invariants()
+
     def test_duplicate_keys_keep_last(self, base_data):
         keys, values = base_data
         tree = RegularCpuBPlusTree(keys, values, fill=0.7)
