@@ -17,7 +17,10 @@ or if sorting a skewed bucket fails to reduce modeled transactions —
 the regression gate for the batch execution engine.  It also exits
 non-zero if the batched update-cost calibration differs from its
 scalar oracle in any counter or simulated memory state, or is less
-than 5x faster than it.
+than 5x faster than it; and if the synchronized updater's batched
+``apply`` differs from its per-op oracle ``apply_scalar`` (stats,
+contents, GPU mirror, PCIe link stats, memory state) or is less than
+1.5x faster than it.
 
 ``--trace`` benchmarks the observability layer (``repro.obs``) on the
 batch engine and writes ``BENCH_pr4.json`` plus a Perfetto-loadable
@@ -44,6 +47,11 @@ MAX_SLOWDOWN = 1.5
 #: the batched update-cost calibration must beat its scalar oracle
 #: loop by at least this factor
 MIN_CALIBRATION_SPEEDUP = 5.0
+
+#: the batched synchronized ``apply`` must beat its per-op oracle by at
+#: least this factor (about 2.7x measured on a 1024-op batch over 2^15
+#: keys, 2-vCPU x86 host)
+MIN_SYNC_APPLY_SPEEDUP = 1.5
 
 #: tracing may not inflate the engine run's wall-clock past this
 #: factor (generous: span bodies are microseconds next to millisecond
@@ -142,6 +150,7 @@ def main(argv=None) -> int:
     zipf = report["lookup"]["zipf"]
     update = report["update"]
     calibration = report["calibration"]
+    sync_apply = report["sync_apply"]
     print(f"wrote {out} ({report['mode']} mode)")
     print(f"  pack_i_segment speedup vs scalar: {mirror['pack_speedup']:.2f}x")
     print(f"  touch_lines speedup vs per-line:  {touch['speedup']:.2f}x")
@@ -155,6 +164,11 @@ def main(argv=None) -> int:
         f"  update-cost calibration vs scalar: {calibration['speedup']:.2f}x "
         f"({calibration['sample']} keys, identical="
         f"{calibration['identical']})"
+    )
+    print(
+        f"  batched sync apply vs per-op loop: {sync_apply['speedup']:.2f}x "
+        f"({sync_apply['batch_ops']}-op batches, identical="
+        f"{sync_apply['identical']})"
     )
     print(
         "  sync PCIe transfers: "
@@ -192,6 +206,17 @@ def main(argv=None) -> int:
             f"batched update-cost calibration is only "
             f"{calibration['speedup']:.2f}x faster than the scalar loop "
             f"(need {MIN_CALIBRATION_SPEEDUP}x)"
+        )
+    if not sync_apply["identical"]:
+        failures.append(
+            "batched SyncUpdater.apply differs from its per-op oracle "
+            "(stats, contents, mirror, link stats or memory state)"
+        )
+    if sync_apply["speedup"] < MIN_SYNC_APPLY_SPEEDUP:
+        failures.append(
+            f"batched SyncUpdater.apply is only "
+            f"{sync_apply['speedup']:.2f}x faster than the per-op loop "
+            f"(need {MIN_SYNC_APPLY_SPEEDUP}x)"
         )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

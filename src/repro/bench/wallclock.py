@@ -19,7 +19,11 @@ times the paths the batch engine and the vectorization work touch:
 * **calibration** — the write path's batched update-cost calibration
   (one :meth:`MemorySystem.touch_stream` replay) vs its scalar oracle
   loop of instrumented lookups, with an identity check of the result,
-  the modeled counters and the simulated memory state.
+  the modeled counters and the simulated memory state,
+* **sync_apply** — the synchronized updater's batched ``apply`` (one
+  overwrite scatter, per-op inserts only for new keys) vs its per-op
+  oracle ``apply_scalar`` on twin trees, with an identity check of the
+  stats, contents, GPU mirror, PCIe link stats and memory state.
 
 ``run_wallclock`` returns one JSON-serialisable dict; the CLI wrapper
 ``benchmarks/bench_wallclock.py`` writes it to ``BENCH_pr2.json`` and
@@ -221,6 +225,58 @@ def _bench_calibration(keys, values, machine, repeats: int,
     }
 
 
+def _write_mix_batch(tree: HBPlusTree, rng: np.random.Generator):
+    """One 1024-op service-style update batch: 960 upserts of stored
+    keys (repeats allowed), 56 inserts of fresh keys, 8 deletes of
+    stored keys."""
+    stored = tree.cpu_tree.stored_keys()
+    fresh, _vals = make_insert_batch(stored, 56, tree.spec.bits,
+                                     seed=int(rng.integers(1 << 30)))
+    keys = rng.permutation(np.concatenate([rng.choice(stored, 960), fresh]))
+    values = rng.integers(0, tree.spec.max_value, size=len(keys),
+                          dtype=tree.spec.dtype)
+    deletes = rng.choice(stored, 8, replace=False)
+    return keys, values, deletes
+
+
+def _bench_sync_apply(keys, values, machine, repeats: int) -> Dict[str, Any]:
+    """Batched ``SyncUpdater.apply`` vs its per-op oracle on twin
+    trees, bulk-loaded full so fresh keys split leaves.  Both twins
+    apply the same batches, so the identity check covers the whole
+    sequence."""
+    fast = HBPlusTree(keys, values, machine=machine)
+    slow = HBPlusTree(keys, values, machine=machine)
+    rng = np.random.default_rng(23)
+    batched_ns = scalar_ns = float("inf")
+    identical = True
+    for _ in range(max(1, repeats)):
+        upk, upv, dels = _write_mix_batch(fast, rng)
+        t0 = time.perf_counter_ns()
+        got = SyncUpdater(fast).apply(upk, upv, dels)
+        batched_ns = min(batched_ns, time.perf_counter_ns() - t0)
+        t0 = time.perf_counter_ns()
+        want = SyncUpdater(slow).apply_scalar(upk, upv, dels)
+        scalar_ns = min(scalar_ns, time.perf_counter_ns() - t0)
+        identical = identical and got == want
+    fk, sk = fast.cpu_tree.stored_keys(), slow.cpu_tree.stored_keys()
+    identical = (
+        identical
+        and np.array_equal(fk, sk)
+        and np.array_equal(fast.lookup_batch(fk), slow.lookup_batch(sk))
+        and np.array_equal(fast.iseg_buffer.array, slow.iseg_buffer.array)
+        and vars(fast.link.stats) == vars(slow.link.stats)
+        and fast.mem.state() == slow.mem.state()
+    )
+    return {
+        "batch_ops": int(len(upk) + len(dels)),
+        "batches": int(max(1, repeats)),
+        "identical": bool(identical),
+        "batched_wall_ns": float(batched_ns),
+        "scalar_wall_ns": float(scalar_ns),
+        "speedup": scalar_ns / max(1.0, batched_ns),
+    }
+
+
 def available_cpus() -> int:
     """CPUs this process may actually run on (affinity-aware)."""
     try:
@@ -360,5 +416,6 @@ def run_wallclock(smoke: bool = False) -> Dict[str, Any]:
         "update": _bench_update(keys, values, machine, batch),
         "touch": _bench_touch(tree, min(n_queries, 1 << 14), repeats),
         "calibration": _bench_calibration(keys, values, machine, repeats),
+        "sync_apply": _bench_sync_apply(keys, values, machine, repeats),
     }
     return report

@@ -95,10 +95,10 @@ class GpuAssistedUpdater:
             groups.setdefault(int(node), []).append(i)
         applied_without_descent = 0
         for node, members in groups.items():
-            leaves_before = cpu_tree.leaves.count
+            structure_before = cpu_tree.structure_changes
             for i in members:
                 key, value = int(keys[i]), int(values[i])
-                if cpu_tree.leaves.count != leaves_before:
+                if cpu_tree.structure_changes != structure_before:
                     # this leaf split while we were applying the group:
                     # the remaining GPU codes are stale, re-descend
                     cpu_tree.insert(key, value)

@@ -272,12 +272,41 @@ class SyncUpdater:
     repeatedly-modified nodes and coalesces adjacent dirty mirror slots
     into ranged transfers — fewer pushes on the open copy stream for
     the same final mirror state.  ``batched=False`` keeps the original
-    per-node push, one transfer per modified node.
+    per-node push, one transfer per modified node, pushed as each op
+    lands: it runs the per-op loop of :meth:`apply_scalar`.
+
+    The batched path classifies the upserts once.  Every upsert of a
+    stored key becomes one value scatter; only the first occurrence of
+    each new key runs :meth:`insert`, in arrival order and with the
+    batch's final value for that key; deletes run per op after the
+    upserts.  :meth:`apply_scalar` is the per-op oracle: the same
+    stats, contents, pool arrays, mirror, link stats and memory state,
+    except that a leaf's ``version`` is bumped once per batch rather
+    than once per write.
     """
 
     def __init__(self, tree: HBPlusTree, batched: bool = True):
         self.tree = tree
         self.batched = batched
+
+    def _prepare(self, keys, values, deletes):
+        """Typed, validated batch arrays plus the per-update cost.
+
+        The whole batch is checked before the calibration touches the
+        simulated memory, so a rejected batch has no effect."""
+        spec = self.tree.spec
+        keys = np.asarray(keys, dtype=spec.dtype)
+        values = np.asarray(values, dtype=spec.dtype)
+        deletes = np.asarray(deletes, dtype=spec.dtype)
+        if len(keys) != len(values):
+            raise ValueError("keys and values must have equal length")
+        if len(keys) and int(keys.max()) >= spec.max_value:
+            raise ValueError("key outside the valid (non-sentinel) domain")
+        cost_sample = keys[: min(len(keys), 512)]
+        per_update_ns = (
+            _measure_update_cost_ns(self.tree, cost_sample) if len(keys) else 0.0
+        )
+        return keys, values, deletes, per_update_ns
 
     def apply(
         self,
@@ -285,43 +314,85 @@ class SyncUpdater:
         values: Sequence[int],
         deletes: Sequence[int] = (),
     ) -> UpdateStats:
-        keys = np.asarray(keys, dtype=self.tree.spec.dtype)
-        values = np.asarray(values, dtype=self.tree.spec.dtype)
-        deletes = np.asarray(deletes, dtype=self.tree.spec.dtype)
+        if not self.batched:
+            return self.apply_scalar(keys, values, deletes)
+        keys, values, deletes, per_update_ns = self._prepare(
+            keys, values, deletes
+        )
+        cpu_tree = self.tree.cpu_tree
+        all_op_keys = np.concatenate([keys, deletes])
+        op_nodes, op_lines = cpu_tree.descend_batch(all_op_keys)
+        n_up = len(keys)
+        # classify the distinct upsert keys: stored keys become one
+        # value scatter with the last write; new keys insert once, at
+        # their first occurrence
+        order = np.argsort(keys, kind="stable")
+        sk = keys[order]
+        run_first = np.ones(n_up, dtype=bool)
+        run_first[1:] = sk[1:] != sk[:-1]
+        run_last = np.ones(n_up, dtype=bool)
+        run_last[:-1] = run_first[1:]
+        first, last = order[run_first], order[run_last]
+        found, slot, _pos = cpu_tree.locate_batch(
+            keys[first], op_nodes[first], op_lines[first]
+        )
+        if found.any():
+            cpu_tree.overwrite_batch(
+                op_nodes[first[found]], slot[found], values[last[found]]
+            )
+        # every op enqueues its pre-batch node, except one that changed
+        # the structure: that one forces the full rebuild instead
+        dirty = np.ones(len(all_op_keys), dtype=bool)
+        structural = 0
+        new = np.flatnonzero(~found)
+        new = new[np.argsort(first[new])]  # arrival order
+        for op, value_at in zip(first[new].tolist(), last[new].tolist()):
+            before = cpu_tree.structure_changes
+            cpu_tree.insert(int(keys[op]), int(values[value_at]))
+            if cpu_tree.structure_changes != before:
+                structural += 1
+                dirty[op] = False
+        for op in range(n_up, len(all_op_keys)):
+            before = cpu_tree.structure_changes
+            cpu_tree.delete(int(all_op_keys[op]))
+            if cpu_tree.structure_changes != before:
+                structural += 1
+                dirty[op] = False
+        stats = UpdateStats(applied=len(all_op_keys))
+        return self._finish(stats, op_nodes[dirty].tolist(), structural,
+                            per_update_ns)
+
+    def apply_scalar(
+        self,
+        keys: Sequence[int],
+        values: Sequence[int],
+        deletes: Sequence[int] = (),
+    ) -> UpdateStats:
+        """The per-op loop: one :meth:`insert` or :meth:`delete` per
+        op, in arrival order.  The batched :meth:`apply`'s oracle, and
+        the path of ``batched=False``."""
+        keys, values, deletes, per_update_ns = self._prepare(
+            keys, values, deletes
+        )
         stats = UpdateStats()
         cpu_tree = self.tree.cpu_tree
-        cost_sample = keys[: min(len(keys), 512)]
-        per_update_ns = (
-            _measure_update_cost_ns(self.tree, cost_sample) if len(keys) else 0.0
-        )
         ops = [("upsert", int(k), int(v)) for k, v in zip(keys, values)]
         ops += [("delete", int(k), 0) for k in deletes]
         # one batch descent over the whole op stream replaces the old
         # per-op `_descend`: the ids are exact while the structure
         # holds, and any structural change triggers the full mirror
         # rebuild below, which restores consistency regardless
-        all_op_keys = np.concatenate([keys, deletes])
-        op_nodes = (
-            cpu_tree.descend_batch(all_op_keys)[0]
-            if len(all_op_keys)
-            else np.empty(0, dtype=np.int64)
-        )
-
-        node_bytes = self.tree.node_stride * 8
+        op_nodes = cpu_tree.descend_batch(np.concatenate([keys, deletes]))[0]
         structural = 0
-        rebuilt = False
         dirty: List[int] = []
-        push_overhead_units = 0  # per-push bookkeeping on the open stream
         for (op, key, value), node in zip(ops, op_nodes.tolist()):
-            height_before = cpu_tree.height
-            leaves_before = cpu_tree.leaves.count
+            before = cpu_tree.structure_changes
             if op == "upsert":
                 cpu_tree.insert(key, value)
             else:
                 cpu_tree.delete(key)
             stats.applied += 1
-            if (cpu_tree.leaves.count != leaves_before
-                    or cpu_tree.height != height_before):
+            if cpu_tree.structure_changes != before:
                 structural += 1
             elif self.batched:
                 dirty.append(node)
@@ -330,12 +401,22 @@ class SyncUpdater:
                 try:
                     self.tree.sync_node(0, node)
                     stats.synced_nodes += 1
-                    push_overhead_units += 1
                 except FaultError:
                     # the push aborted mid-flight; the mirror is stale
                     # for this node — repair with the full rebuild below
                     stats.sync_faults += 1
                     structural += 1
+        return self._finish(stats, dirty, structural, per_update_ns)
+
+    def _finish(self, stats: UpdateStats, dirty: List[int], structural: int,
+                per_update_ns: float) -> UpdateStats:
+        """Drain the dirty queue, rebuild the mirror after a structural
+        change, and price the batch."""
+        node_bytes = self.tree.node_stride * 8
+        rebuilt = False
+        # per-push bookkeeping on the open stream: the per-node path
+        # pushed once per synced node
+        push_overhead_units = stats.synced_nodes
         if self.batched and dirty:
             # drain the queue once: dedup + coalesce into ranged pushes
             try:
@@ -354,7 +435,7 @@ class SyncUpdater:
             # leave stale nodes): fall back to a full mirror rebuild,
             # exactly once at the end
             rebuild_ns = self.tree.mirror_i_segment()
-        stats.modify_ns = len(ops) * per_update_ns
+        stats.modify_ns = stats.applied * per_update_ns
         # the synchronizing thread overlaps the modifying thread; only
         # the excess shows up as extra time.  Pushes ride one open copy
         # stream: bandwidth per node plus bookkeeping per push (the

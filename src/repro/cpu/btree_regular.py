@@ -223,6 +223,11 @@ class RegularCpuBPlusTree:
         self.last = _InnerPool(self.spec)
         self.leaves = self._make_leaf_pool()
         self.num_tuples = 0
+        #: bumped by every split, root growth, leaf removal and root
+        #: collapse — the structure changes that move node identities.
+        #: Pool counts cannot tell: a freed id is reused by a later
+        #: split without either count moving.
+        self.structure_changes = 0
         # an empty tree still has one (empty) last-level inner + big leaf
         self.root = self._new_last_level_node()
         self.height = 1
@@ -396,16 +401,25 @@ class RegularCpuBPlusTree:
         """Resolve descended queries in their leaf lines; returns the
         values (sentinel marks not-found) and each query's in-line
         search result."""
+        found, slot, pos = self.locate_batch(q, node, line)
+        out = np.full(len(q), self.spec.max_value, dtype=self.spec.dtype)
+        out[found] = self.leaves.values[node[found], slot[found]]
+        return out, pos
+
+    def locate_batch(self, q: np.ndarray, node: np.ndarray,
+                     line: np.ndarray):
+        """Search descended queries in the leaf lines their
+        :meth:`descend_batch` reached; returns ``(found, slot, pos)``:
+        whether the key is stored, the leaf slot of its first copy (on
+        a gapped leaf, the start of its run, as :meth:`insert` finds
+        it) and the in-line search result."""
         p = self.spec.leaf_pairs_per_line
         base = line * p
         rows = self.leaves.keys[node[:, None], base[:, None] + np.arange(p)]
         pos = np.sum(rows < q[:, None], axis=1)
         pos_c = np.minimum(pos, p - 1)
         found = rows[np.arange(len(q)), pos_c] == q
-        out = np.full(len(q), self.spec.max_value, dtype=self.spec.dtype)
-        idx = np.arange(len(q))[found]
-        out[found] = self.leaves.values[node[idx], base[idx] + pos_c[idx]]
-        return out, pos
+        return found, base + pos_c, pos
 
     def descend_levels(self, queries: np.ndarray):
         """Vectorised descent from the root: yields one ``(level, node,
@@ -859,6 +873,20 @@ class RegularCpuBPlusTree:
         self.leaves.size[node] = m
         self._refresh_last_level_keys(node)
 
+    def overwrite_batch(self, nodes: np.ndarray, slots: np.ndarray,
+                        values: np.ndarray) -> None:
+        """Overwrite the values of stored keys in place, one scatter.
+
+        ``(nodes, slots)`` come from :meth:`locate_batch` and name
+        distinct stored keys.  The layout hook of the batched overwrite:
+        the stored state equals one :meth:`insert` overwrite per key,
+        and every written leaf's ``version`` is bumped once (the
+        per-op loop bumps it once per write).
+        """
+        nodes = np.asarray(nodes, dtype=np.int64)
+        self.leaves.values[nodes, slots] = values
+        self.leaves.version[np.unique(nodes)] += 1
+
     def _leaf_pairs(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
         """Copies of one leaf's stored (keys, values), gaps excluded."""
         size = int(self.leaves.size[node])
@@ -946,6 +974,7 @@ class RegularCpuBPlusTree:
 
     def _split_leaf(self, node: int, path: list) -> None:
         """Split a full big leaf (and its last-level inner) in half."""
+        self.structure_changes += 1
         new_node = self._new_last_level_node()
         cap = self.leaves.capacity_pairs
         half = cap // 2
@@ -1035,6 +1064,7 @@ class RegularCpuBPlusTree:
 
     def _split_upper(self, level: int, node: int, path: list) -> None:
         """Split a full upper inner node in half."""
+        self.structure_changes += 1
         new_node = self.upper.allocate()
         half = self.fanout // 2
         rest = self.fanout - half
@@ -1103,6 +1133,7 @@ class RegularCpuBPlusTree:
         if prev == _NIL and nxt == _NIL:
             # the only leaf: keep it as the (empty) tree skeleton
             return
+        self.structure_changes += 1
         if prev != _NIL:
             self.leaves.next[prev] = nxt
             self.last.next[prev] = nxt
@@ -1146,6 +1177,7 @@ class RegularCpuBPlusTree:
     def _collapse_root(self) -> None:
         """Shrink the tree while the root has a single child."""
         while self.height > 1 and int(self.upper.size[self.root]) == 1:
+            self.structure_changes += 1
             child = int(self.upper.refs[self.root, 0])
             self.upper.free(self.root)
             self.root = child

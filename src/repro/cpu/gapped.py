@@ -243,6 +243,27 @@ class GappedCpuBPlusTree(RegularCpuBPlusTree):
         self.gap_stats.leaf_rewrites += 1
         self._write_leaf_spread(node, keys, values)
 
+    def overwrite_batch(self, nodes: np.ndarray, slots: np.ndarray,
+                        values: np.ndarray) -> None:
+        """Overwrite the whole duplicate run ``[slot, right)`` of each
+        stored key, as :meth:`_leaf_upsert` does: the located slot
+        starts a run of gaps that ends on the real entry."""
+        lv = self.leaves
+        nodes = np.asarray(nodes, dtype=np.int64)
+        slots = np.asarray(slots, dtype=np.int64)
+        end = slots.copy()
+        # walk each run right to its real entry; runs are short, so
+        # this loops once per gap in the longest run
+        more = lv.gap[nodes, end]
+        while more.any():
+            end += more
+            more = lv.gap[nodes, end]
+        counts = end - slots + 1
+        lv.values[np.repeat(nodes, counts), _multi_arange(slots, counts)] = (
+            np.repeat(values, counts)
+        )
+        lv.version[np.unique(nodes)] += 1
+
     def _leaf_upsert(self, node: int, key: int, value: int):
         """Place ``key`` into the leaf; returns ``(placed, was_new)``.
 
@@ -327,6 +348,7 @@ class GappedCpuBPlusTree(RegularCpuBPlusTree):
     def _split_leaf(self, node: int, path: list) -> None:
         """Split a gap-exhausted leaf, re-spreading both halves."""
         self.gap_stats.splits += 1
+        self.structure_changes += 1
         keys, values = self._leaf_pairs(node)
         half = len(keys) // 2
         new_node = self._new_last_level_node()

@@ -302,6 +302,9 @@ class IndexService:
         d = spec.coerce(deletes)
         if len(k) != len(v):
             raise ValueError("keys and values must have equal length")
+        if len(k) and int(k.max()) >= spec.max_value:
+            # rejected before any shard applies its slice
+            raise ValueError("key outside the valid (non-sentinel) domain")
         self.quotas.charge(tenant, len(k) + len(d))
         t0 = time.perf_counter_ns()
         with self._write_lock:
