@@ -20,7 +20,9 @@ scalar oracle in any counter or simulated memory state, or is less
 than 5x faster than it; and if the synchronized updater's batched
 ``apply`` differs from its per-op oracle ``apply_scalar`` (stats,
 contents, GPU mirror, PCIe link stats, memory state) or is less than
-1.5x faster than it.
+1.5x faster than it; and if the implicit tree's bucket-wide scan
+``scan_batch_from`` differs from the per-scan ``range_scan_from`` loop
+(rows, memory state) or is less than 1.5x faster than it.
 
 ``--trace`` benchmarks the observability layer (``repro.obs``) on the
 batch engine and writes ``BENCH_pr4.json`` plus a Perfetto-loadable
@@ -52,6 +54,11 @@ MIN_CALIBRATION_SPEEDUP = 5.0
 #: least this factor (about 2.7x measured on a 1024-op batch over 2^15
 #: keys, 2-vCPU x86 host)
 MIN_SYNC_APPLY_SPEEDUP = 1.5
+
+#: one bucket-wide implicit scan must beat the per-scan loop by at
+#: least this factor (about 2.4x measured on a 256-scan bucket over
+#: 2^13 keys, 2-vCPU x86 host)
+MIN_SCAN_BUCKET_SPEEDUP = 1.5
 
 #: tracing may not inflate the engine run's wall-clock past this
 #: factor (generous: span bodies are microseconds next to millisecond
@@ -151,6 +158,7 @@ def main(argv=None) -> int:
     update = report["update"]
     calibration = report["calibration"]
     sync_apply = report["sync_apply"]
+    scan_bucket = report["scan_bucket"]
     print(f"wrote {out} ({report['mode']} mode)")
     print(f"  pack_i_segment speedup vs scalar: {mirror['pack_speedup']:.2f}x")
     print(f"  touch_lines speedup vs per-line:  {touch['speedup']:.2f}x")
@@ -169,6 +177,11 @@ def main(argv=None) -> int:
         f"  batched sync apply vs per-op loop: {sync_apply['speedup']:.2f}x "
         f"({sync_apply['batch_ops']}-op batches, identical="
         f"{sync_apply['identical']})"
+    )
+    print(
+        f"  bucket-wide scan vs per-scan loop: {scan_bucket['speedup']:.2f}x "
+        f"({scan_bucket['scans']} scans over {scan_bucket['keys']} keys, "
+        f"identical={scan_bucket['identical']})"
     )
     print(
         "  sync PCIe transfers: "
@@ -217,6 +230,17 @@ def main(argv=None) -> int:
             f"batched SyncUpdater.apply is only "
             f"{sync_apply['speedup']:.2f}x faster than the per-op loop "
             f"(need {MIN_SYNC_APPLY_SPEEDUP}x)"
+        )
+    if not scan_bucket["identical"]:
+        failures.append(
+            "bucket-wide scan_batch_from differs from the per-scan "
+            "range_scan_from loop (rows or memory state)"
+        )
+    if scan_bucket["speedup"] < MIN_SCAN_BUCKET_SPEEDUP:
+        failures.append(
+            f"bucket-wide scan_batch_from is only "
+            f"{scan_bucket['speedup']:.2f}x faster than the per-scan loop "
+            f"(need {MIN_SCAN_BUCKET_SPEEDUP}x)"
         )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -23,7 +23,11 @@ times the paths the batch engine and the vectorization work touch:
 * **sync_apply** — the synchronized updater's batched ``apply`` (one
   overwrite scatter, per-op inserts only for new keys) vs its per-op
   oracle ``apply_scalar`` on twin trees, with an identity check of the
-  stats, contents, GPU mirror, PCIe link stats and memory state.
+  stats, contents, GPU mirror, PCIe link stats and memory state,
+* **scan_bucket** — one bucket of range scans served by the implicit
+  tree's bucket-wide ``scan_batch_from`` (one ``touch_lines`` replay,
+  one gather) vs the per-scan ``range_scan_from`` loop on twin trees,
+  with an identity check of the rows and the memory state.
 
 ``run_wallclock`` returns one JSON-serialisable dict; the CLI wrapper
 ``benchmarks/bench_wallclock.py`` writes it to ``BENCH_pr2.json`` and
@@ -51,6 +55,7 @@ import numpy as np
 
 from repro.core.batching import BatchingEngine, measure_sorted_delta
 from repro.core.hbtree import HBPlusTree
+from repro.core.hbtree_implicit import ImplicitHBPlusTree
 from repro.core.update import (
     AsyncBatchUpdater,
     SyncUpdater,
@@ -59,7 +64,11 @@ from repro.core.update import (
 )
 from repro.platform.configs import machine_m1
 from repro.workloads.generators import generate_dataset, generate_skewed_queries
-from repro.workloads.queries import make_insert_batch, make_point_queries
+from repro.workloads.queries import (
+    make_insert_batch,
+    make_point_queries,
+    make_scan_queries,
+)
 
 
 def time_best_ns(fn: Callable[[], Any], repeats: int = 3) -> float:
@@ -277,6 +286,42 @@ def _bench_sync_apply(keys, values, machine, repeats: int) -> Dict[str, Any]:
     }
 
 
+def _bench_scan_bucket(keys, values, machine, repeats: int,
+                       n_scans: int = 256,
+                       length: int = 100) -> Dict[str, Any]:
+    """The implicit tree's bucket-wide ``scan_batch_from`` vs the
+    per-scan ``range_scan_from`` loop on twin trees, both from the true
+    start leaves.  Both twins serve the bucket the same number of
+    times, so the identity check covers the carried-over cache, TLB and
+    prefetcher state too."""
+    fast = ImplicitHBPlusTree(keys, values, machine=machine).cpu_tree
+    slow = ImplicitHBPlusTree(keys, values, machine=machine).cpu_tree
+    los, his = make_scan_queries(keys, n_scans, length, dist="uniform",
+                                 seed=41)
+    leaves = np.asarray([fast._descend(int(lo), instrument=False)
+                         for lo in los.tolist()], dtype=np.int64)
+    triples = list(zip(leaves.tolist(), los.tolist(), his.tolist()))
+
+    def batched():
+        return fast.scan_batch_from(leaves, los, his)
+
+    def per_scan():
+        return [slow.range_scan_from(*t) for t in triples]
+
+    identical = batched() == per_scan()
+    batched_ns = time_best_ns(batched, repeats)
+    scalar_ns = time_best_ns(per_scan, repeats)
+    identical = identical and fast.mem.state() == slow.mem.state()
+    return {
+        "scans": int(n_scans),
+        "keys": int(len(keys)),
+        "identical": bool(identical),
+        "batched_wall_ns": batched_ns,
+        "scalar_wall_ns": scalar_ns,
+        "speedup": scalar_ns / max(1.0, batched_ns),
+    }
+
+
 def available_cpus() -> int:
     """CPUs this process may actually run on (affinity-aware)."""
     try:
@@ -417,5 +462,8 @@ def run_wallclock(smoke: bool = False) -> Dict[str, Any]:
         "touch": _bench_touch(tree, min(n_queries, 1 << 14), repeats),
         "calibration": _bench_calibration(keys, values, machine, repeats),
         "sync_apply": _bench_sync_apply(keys, values, machine, repeats),
+        "scan_bucket": _bench_scan_bucket(keys[: 1 << 13],
+                                          values[: 1 << 13], machine,
+                                          repeats),
     }
     return report

@@ -519,24 +519,16 @@ class HBPlusTree:
     def cpu_scan_bucket(
         self, los: np.ndarray, his: np.ndarray, codes: np.ndarray
     ) -> List[List[Tuple[int, int]]]:
-        """Stage 4 for range scans: leaf-chain walks from GPU-located
-        start leaves.
+        """Stage 4 for range scans: one bucket-wide leaf-chain walk
+        from the GPU-located start leaves.
 
         ``codes`` are the per-start-key (node, leaf-line) codes the GPU
         stage produced for the ``lo`` bounds; the big-leaf index is the
         node part, and the chain walk resumes there without re-running
         the CPU descent.
         """
-        nodes = (np.asarray(codes) // self.cpu_tree.fanout).astype(np.int64)
-        tree = self.cpu_tree
-        return [
-            tree.range_scan_from(int(node), int(lo), int(hi))
-            for node, lo, hi in zip(
-                nodes.tolist(),
-                np.asarray(los).tolist(),
-                np.asarray(his).tolist(),
-            )
-        ]
+        nodes = np.asarray(codes) // self.cpu_tree.fanout
+        return self.cpu_tree.scan_batch_from(nodes, los, his)
 
     # ------------------------------------------------------------------
     # profiling / cost model

@@ -428,7 +428,8 @@ class ImplicitHBPlusTree:
     def cpu_scan_bucket(
         self, los: np.ndarray, his: np.ndarray, leaf_indices: np.ndarray
     ) -> List[List[Tuple[int, int]]]:
-        """Stage 4 for range scans: leaf walks from GPU-located starts.
+        """Stage 4 for range scans: one bucket-wide leaf walk from the
+        GPU-located starts.
 
         ``leaf_indices`` are the per-start-key leaves the GPU stage
         produced for the ``lo`` bounds (clamped like
@@ -439,15 +440,7 @@ class ImplicitHBPlusTree:
             np.asarray(leaf_indices, dtype=np.int64),
             self.cpu_tree.num_leaves - 1,
         )
-        tree = self.cpu_tree
-        return [
-            tree.range_scan_from(int(leaf), int(lo), int(hi))
-            for leaf, lo, hi in zip(
-                leaves.tolist(),
-                np.asarray(los).tolist(),
-                np.asarray(his).tolist(),
-            )
-        ]
+        return self.cpu_tree.scan_batch_from(leaves, los, his)
 
     # ------------------------------------------------------------------
     # instrumented profiling (feeds the cost model)

@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cpu.btree_regular import _multi_arange
 from repro.cpu.node_search import (
     NodeSearchAlgorithm,
     get_search_function,
@@ -359,6 +360,50 @@ class ImplicitCpuBPlusTree:
         if lo > hi:
             return []
         return self._scan_from_leaf(int(leaf), int(lo), int(hi))
+
+    def scan_batch_from(self, leaves: Sequence[int], los: Sequence[int],
+                        his: Sequence[int]) -> List[List[Tuple[int, int]]]:
+        """A whole bucket of :meth:`range_scan_from` calls in one pass.
+
+        Scan ``i`` starts at ``leaves[i]`` and returns the pairs with
+        ``los[i] <= key <= his[i]``.  The terminating leaf of every
+        scan is found as a vector by :meth:`_scan_from_leaf`'s rule,
+        and the scans' leaf-line ranges are replayed, concatenated in
+        scan order, by one ``touch_lines`` call.  ``touch_lines`` is
+        identical to a per-line loop, so the replay leaves every
+        counter and all cache, TLB and prefetcher state exactly as the
+        per-scan calls would.  Scans with ``lo > hi`` touch nothing
+        and return ``[]``.
+        """
+        spec = self.spec
+        leaves = np.asarray(leaves, dtype=np.int64)
+        lo = np.asarray(los, dtype=spec.dtype)
+        hi = np.asarray(his, dtype=spec.dtype)
+        valid = lo <= hi
+        cap = self.leaf_keys.shape[1]
+        n = self.num_tuples
+        flat_keys = self.leaf_keys.reshape(-1)[:n]
+        lo_pos = np.searchsorted(flat_keys, lo)
+        hi_pos = np.searchsorted(flat_keys, hi, side="right")
+        if n < self.num_leaves * cap:
+            off_end = n // cap  # the sentinel probe in the last leaf
+        else:
+            off_end = self.num_leaves - 1  # runs off the packed end
+        term = np.maximum(np.where(hi_pos < n, hi_pos // cap, off_end),
+                          leaves)
+        if self.mem is not None:
+            self.mem.touch_lines(
+                self.l_segment,
+                _multi_arange(leaves, np.where(valid, term - leaves + 1, 0)),
+            )
+            self.mem.counters.queries += int(np.count_nonzero(valid))
+        start = np.maximum(lo_pos, leaves * cap)
+        counts = np.where(valid, np.maximum(hi_pos - start, 0), 0)
+        idx = _multi_arange(start, counts)
+        rows = list(zip(flat_keys[idx].tolist(),
+                        self.leaf_values.reshape(-1)[idx].tolist()))
+        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+        return [rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
     # ------------------------------------------------------------------
     # updates (rebuild — section 5.6)

@@ -625,93 +625,109 @@ class RegularCpuBPlusTree:
         return True
 
     def _gather_pairs(self, nodes: np.ndarray, a: np.ndarray,
-                      b: np.ndarray,
-                      results: List[Tuple[int, int]]) -> None:
-        """Append the pairs in slots ``[a_i, b_i)`` of each leaf, in
-        chain order (the gapped pool overrides to mask gap slots)."""
+                      b: np.ndarray) -> Tuple[List[Tuple[int, int]],
+                                              np.ndarray]:
+        """The pairs in slots ``[a_i, b_i)`` of each leaf, in chain
+        order, and how many each segment contributed (the gapped pool
+        overrides to mask gap slots)."""
         cap = self.leaves.capacity_pairs
-        idx = _multi_arange(nodes * cap + a, b - a)
+        counts = b - a
+        idx = _multi_arange(nodes * cap + a, counts)
         k = self.leaves.keys.reshape(-1)[idx]
         v = self.leaves.values.reshape(-1)[idx]
-        results.extend(zip(k.tolist(), v.tolist()))
+        return list(zip(k.tolist(), v.tolist())), counts
 
-    def _scan_chain(self, node: int, lo: int, hi: int,
-                    instrument: bool = True) -> List[Tuple[int, int]]:
-        """Vectorised leaf-chain scan from leaf ``node``.
+    def scan_batch_from(self, nodes: Sequence[int], los: Sequence[int],
+                        his: Sequence[int]) -> List[List[Tuple[int, int]]]:
+        """A whole bucket of leaf-chain scans; scan ``i`` starts at big
+        leaf ``nodes[i]`` and returns the pairs with
+        ``los[i] <= key <= his[i]``.
 
-        The per-leaf loop does scalar bookkeeping only — a
-        ``searchsorted`` runs solely in the first contributing leaf
-        (chain keys are globally non-decreasing, so every later leaf
-        starts at slot 0) and in the terminating leaf (detected by one
-        last-key comparison).  The touched-line stream and the result
-        gather are each issued as one batched call at scan end, in the
-        exact order the scalar walk produces them: identical results,
-        identical modeled counters.
+        The per-leaf loop follows ``leaves.next`` and does scalar
+        bookkeeping only — a ``searchsorted`` runs solely in a scan's
+        first contributing leaf (chain keys are globally
+        non-decreasing, so every later leaf starts at slot 0) and in
+        its terminating leaf (detected by one last-key comparison).
+        The touched-line stream and the pair gather of the whole bucket
+        are each issued as one batched call, concatenated in scan
+        order — exactly the order the scalar walks produce them:
+        identical results, identical modeled counters.  Scans with
+        ``lo > hi`` touch nothing and return ``[]``.
         """
-        counters = self.mem.counters if (instrument and self.mem) else None
         p = self.spec.leaf_pairs_per_line
-        lo_t = self.spec.dtype(lo)
-        hi_t = self.spec.dtype(hi)
+        lo_arr = np.asarray(los, dtype=self.spec.dtype)
+        hi_arr = np.asarray(his, dtype=self.spec.dtype)
+        if self.num_tuples == 0:
+            return [[] for _ in range(len(lo_arr))]
         leaf_keys = self.leaves.keys
         leaf_size = self.leaves.size
         leaf_next = self.leaves.next
+        seg_scan: List[int] = []
         seg_node: List[int] = []
         seg_a: List[int] = []
         seg_b: List[int] = []
         line_node: List[int] = []
         line_a: List[int] = []
         line_b: List[int] = []
-        seeking = True
-        while node != _NIL:
-            size = int(leaf_size[node])
-            if size:
-                if seeking:
-                    start = int(
-                        np.searchsorted(leaf_keys[node, :size], lo_t)
-                    )
-                else:
-                    start = 0
-                if start < size:
-                    seeking = False
-                    if leaf_keys[node, size - 1] <= hi_t:
-                        # whole remainder of the leaf qualifies
-                        stop = size - start
-                        terminates = False
+        scans = 0
+        starts = np.asarray(nodes, dtype=np.int64).tolist()
+        for i, (node, lo_t, hi_t) in enumerate(zip(starts, lo_arr, hi_arr)):
+            if lo_t > hi_t:
+                continue
+            scans += 1
+            seeking = True
+            while node != _NIL:
+                size = int(leaf_size[node])
+                if size:
+                    if seeking:
+                        start = int(
+                            np.searchsorted(leaf_keys[node, :size], lo_t)
+                        )
                     else:
-                        stop = int(np.searchsorted(
-                            leaf_keys[node, start:size], hi_t,
-                            side="right",
-                        ))
-                        terminates = True
-                    last_slot = start + stop if terminates else size - 1
-                    line_node.append(node)
-                    line_a.append(start // p)
-                    line_b.append(last_slot // p + 1)
-                    if stop:
-                        seg_node.append(node)
-                        seg_a.append(start)
-                        seg_b.append(start + stop)
-                    if terminates:
-                        break
-            node = int(leaf_next[node])
-        if instrument and line_node:
+                        start = 0
+                    if start < size:
+                        seeking = False
+                        if leaf_keys[node, size - 1] <= hi_t:
+                            # whole remainder of the leaf qualifies
+                            stop = size - start
+                            terminates = False
+                        else:
+                            stop = int(np.searchsorted(
+                                leaf_keys[node, start:size], hi_t,
+                                side="right",
+                            ))
+                            terminates = True
+                        last_slot = start + stop if terminates else size - 1
+                        line_node.append(node)
+                        line_a.append(start // p)
+                        line_b.append(last_slot // p + 1)
+                        if stop:
+                            seg_scan.append(i)
+                            seg_node.append(node)
+                            seg_a.append(start)
+                            seg_b.append(start + stop)
+                        if terminates:
+                            break
+                node = int(leaf_next[node])
+        if line_node:
             la = np.asarray(line_a, dtype=np.int64)
             cnt = np.asarray(line_b, dtype=np.int64) - la
             self._touch_leaf_lines(
                 np.repeat(np.asarray(line_node, dtype=np.int64), cnt),
                 _multi_arange(la, cnt),
             )
-        results: List[Tuple[int, int]] = []
-        if seg_node:
-            self._gather_pairs(
-                np.asarray(seg_node, dtype=np.int64),
-                np.asarray(seg_a, dtype=np.int64),
-                np.asarray(seg_b, dtype=np.int64),
-                results,
-            )
-        if counters is not None:
-            counters.queries += 1
-        return results
+        if self.mem is not None:
+            self.mem.counters.queries += scans
+        pairs, counts = self._gather_pairs(
+            np.asarray(seg_node, dtype=np.int64),
+            np.asarray(seg_a, dtype=np.int64),
+            np.asarray(seg_b, dtype=np.int64),
+        )
+        # segments come in scan order: scan i owns segments
+        # [firsts[i], firsts[i + 1]) and the rows they contributed
+        firsts = np.searchsorted(seg_scan, np.arange(len(lo_arr) + 1))
+        bounds = np.concatenate(([0], np.cumsum(counts)))[firsts].tolist()
+        return [pairs[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
     def range_query(self, lo: int, hi: int) -> List[Tuple[int, int]]:
         """All (key, value) pairs with ``lo <= key <= hi`` in order.
@@ -722,7 +738,7 @@ class RegularCpuBPlusTree:
         if lo > hi or self.num_tuples == 0:
             return []
         node, _line, _ = self._descend(int(lo), instrument=True)
-        return self._scan_chain(node, int(lo), int(hi))
+        return self.scan_batch_from([node], [lo], [hi])[0]
 
     def range_scan_from(self, node: int, lo: int,
                         hi: int) -> List[Tuple[int, int]]:
@@ -733,9 +749,7 @@ class RegularCpuBPlusTree:
         one: leaves whose keys all precede ``lo`` contribute nothing
         and the walk moves on.
         """
-        if lo > hi or self.num_tuples == 0:
-            return []
-        return self._scan_chain(int(node), int(lo), int(hi))
+        return self.scan_batch_from([node], [lo], [hi])[0]
 
     # ------------------------------------------------------------------
     # key maintenance

@@ -169,21 +169,25 @@ class GappedCpuBPlusTree(RegularCpuBPlusTree):
         return not self.leaves.gap[node, slot]
 
     def _gather_pairs(self, nodes: np.ndarray, a: np.ndarray,
-                      b: np.ndarray,
-                      results: List[Tuple[int, int]]) -> None:
-        """Gap-mask-aware slot gather: only real pairs are emitted.
+                      b: np.ndarray) -> Tuple[List[Tuple[int, int]],
+                                              np.ndarray]:
+        """Gap-mask-aware slot gather: only real pairs are emitted and
+        counted.
 
-        The inherited :meth:`range_query` / :meth:`range_scan_from`
-        chain walk touches gap slots' lines like the scalar walk does
-        (a gap occupies the line whether or not it holds data); only
-        the pair gather differs.
+        The inherited :meth:`scan_batch_from` chain walk touches gap
+        slots' lines like the scalar walk does (a gap occupies the line
+        whether or not it holds data); only the pair gather differs.
         """
         cap = self.leaves.capacity_pairs
-        idx = _multi_arange(nodes * cap + a, b - a)
-        idx = idx[~self.leaves.gap.reshape(-1)[idx]]
+        spans = b - a
+        idx = _multi_arange(nodes * cap + a, spans)
+        live = ~self.leaves.gap.reshape(-1)[idx]
+        counts = np.bincount(np.repeat(np.arange(len(spans)), spans)[live],
+                             minlength=len(spans))
+        idx = idx[live]
         k = self.leaves.keys.reshape(-1)[idx]
         v = self.leaves.values.reshape(-1)[idx]
-        results.extend(zip(k.tolist(), v.tolist()))
+        return list(zip(k.tolist(), v.tolist())), counts
 
     # ------------------------------------------------------------------
     # gapped write paths

@@ -149,3 +149,26 @@ class ShardQueue:
             yield self
         finally:
             self.release(ops)
+
+
+@contextmanager
+def admit_all(windows):
+    """Two-phase admission over several shard windows at once.
+
+    ``windows`` is a sequence of ``(queue, ops)`` pairs in ascending
+    shard order.  Every window is acquired, in that order, before the
+    body runs; if any acquire raises (a shed, or a ``BLOCK`` timeout),
+    the windows already held are released and the body never runs, so
+    a multi-shard batch is applied everywhere or nowhere.  Acquiring
+    in one global order means two such batches can never each hold a
+    window the other waits for.
+    """
+    held = []
+    try:
+        for queue, ops in windows:
+            queue.acquire(ops)
+            held.append((queue, ops))
+        yield
+    finally:
+        for queue, ops in reversed(held):
+            queue.release(ops)

@@ -101,6 +101,15 @@ class TokenBucket:
             self.rejected_ops += n
             return False
 
+    def refund(self, n: int) -> None:
+        """Return ``n`` tokens spent on a batch that was later rejected
+        (capped at ``capacity``, like any credit)."""
+        if n < 0:
+            raise ValueError("cannot refund a negative token count")
+        with self._lock:
+            self._credit_locked(n)
+            self.admitted_ops -= n
+
 
 @dataclass
 class TenantQuotaStats:
@@ -164,6 +173,12 @@ class TenantQuotas:
             return
         if not bucket.try_acquire(n):
             raise QuotaExceeded(tenant, n, bucket.available)
+
+    def refund(self, tenant: str, n: int) -> None:
+        """Undo a :meth:`charge` whose batch was rejected downstream."""
+        bucket = self.bucket(tenant)
+        if bucket is not None:
+            bucket.refund(n)
 
     def advance(self, seconds: float) -> None:
         """Credit every configured bucket (deterministic refill)."""

@@ -33,7 +33,11 @@ from repro.core.pipeline import nearest_rank_index
 from repro.faults.plan import FaultPlan
 from repro.obs import NULL_OBS
 from repro.platform.configs import MachineConfig
-from repro.service.admission import AdmissionPolicy
+from repro.service.admission import (
+    AdmissionPolicy,
+    ShardOverloaded,
+    admit_all,
+)
 from repro.service.quota import QuotaConfig, TenantQuotas
 from repro.service.router import (
     HashRouter,
@@ -249,11 +253,14 @@ class IndexService:
         Range routing clips each scan to the owning shards' spans and
         stitches the per-shard rows back in shard (= key) order; hash
         routing broadcasts and merge-sorts, since a hashed keyspace
-        gives a scan no locality to exploit.
+        gives a scan no locality to exploit.  The scatter is vectorised:
+        one ``shard_of`` per bound, then one mask and one clip per
+        shard.
         """
         router, shards = self._table
-        lo_arr = self._spec().coerce(los)
-        hi_arr = self._spec().coerce(his)
+        spec = self._spec()
+        lo_arr = spec.coerce(los)
+        hi_arr = spec.coerce(his)
         if len(lo_arr) != len(hi_arr):
             raise ValueError("run_scans needs matching lo/hi arrays")
         self.quotas.charge(tenant, len(lo_arr))
@@ -261,26 +268,26 @@ class IndexService:
         with self.obs.span("service.scan", tenant=tenant,
                            scans=len(lo_arr), epoch=router.epoch):
             parts: List[List[list]] = [[] for _ in range(len(lo_arr))]
+            ranged = isinstance(router, RangeRouter)
+            if ranged:
+                first = router.shard_of(lo_arr)
+                last = router.shard_of(hi_arr)
+                domain = np.iinfo(spec.dtype)
             for pos in range(router.n_shards):
-                idx, plos, phis = [], [], []
-                for i in range(len(lo_arr)):
-                    first, last = router.shard_span(int(lo_arr[i]),
-                                                    int(hi_arr[i]))
-                    if not first <= pos <= last:
-                        continue
-                    lo, hi = int(lo_arr[i]), int(hi_arr[i])
-                    if isinstance(router, RangeRouter):
-                        slo, shi = router.shard_bounds(pos)
-                        lo, hi = max(lo, slo), min(hi, shi)
-                    idx.append(i)
-                    plos.append(lo)
-                    phis.append(hi)
-                if not idx:
+                idx, plos, phis = np.arange(len(lo_arr)), lo_arr, hi_arr
+                if ranged:
+                    idx = np.flatnonzero((first <= pos) & (pos <= last))
+                    slo, shi = router.shard_bounds(pos)
+                    plos = np.maximum(lo_arr[idx],
+                                      spec.dtype(max(slo, domain.min)))
+                    phis = np.minimum(hi_arr[idx],
+                                      spec.dtype(min(shi, domain.max)))
+                if len(idx) == 0:
                     continue
                 rows = shards[pos].run_scans(plos, phis)
-                for i, r in zip(idx, rows):
+                for i, r in zip(idx.tolist(), rows):
                     parts[i].append(r)
-            if isinstance(router, RangeRouter):
+            if ranged:
                 # shard order == key order: concatenate
                 out = [sum(p, []) for p in parts]
             else:
@@ -295,7 +302,14 @@ class IndexService:
                       deletes: Sequence[int] = (),
                       tenant: str = "default") -> None:
         """Scatter an update batch; within-shard arrival order is
-        preserved, so repeated keys land exactly as unsharded."""
+        preserved, so repeated keys land exactly as unsharded.
+
+        All or nothing: every target shard's admission window is
+        acquired, in ascending shard order, before any shard applies
+        its slice.  A shed (or a timed-out wait) on any of them rejects
+        the whole batch with no effect, releases the windows already
+        held and refunds the tenant's quota tokens.
+        """
         spec = self._spec()
         k = spec.coerce(keys)
         v = np.asarray(values, dtype=spec.dtype)
@@ -313,11 +327,20 @@ class IndexService:
                                ops=len(k) + len(d), epoch=router.epoch):
                 kg = group_by_shard(router.shard_of(k), router.n_shards)
                 dg = group_by_shard(router.shard_of(d), router.n_shards)
-                for pos in range(router.n_shards):
-                    if len(kg[pos]) == 0 and len(dg[pos]) == 0:
-                        continue
-                    shards[pos].apply_updates(k[kg[pos]], v[kg[pos]],
-                                              d[dg[pos]])
+                targets = [pos for pos in range(router.n_shards)
+                           if len(kg[pos]) or len(dg[pos])]
+                windows = [(shards[pos].queue, len(kg[pos]) + len(dg[pos]))
+                           for pos in targets]
+                try:
+                    # only admission raises ShardOverloaded: a shard's
+                    # apply holds its window already and never sheds
+                    with admit_all(windows):
+                        for pos in targets:
+                            shards[pos].apply_updates(
+                                k[kg[pos]], v[kg[pos]], d[dg[pos]])
+                except ShardOverloaded:
+                    self.quotas.refund(tenant, len(k) + len(d))
+                    raise
         self.latency.record(time.perf_counter_ns() - t0,
                             len(k) + len(d))
         self.obs.count("live.service.update_ops", len(k) + len(d),

@@ -185,17 +185,22 @@ class Shard:
 
     def apply_updates(self, keys: Sequence[int], values: Sequence[int],
                       deletes: Sequence[int] = ()) -> None:
-        """Absorb this shard's slice of an update batch."""
+        """Absorb this shard's slice of an update batch.
+
+        Unlike the read paths, this does not admit itself: the caller
+        already holds ``len(keys) + len(deletes)`` ops of this shard's
+        window, acquired together with every other target shard's
+        (:func:`repro.service.admission.admit_all`), so a batch is
+        applied on all its shards or on none."""
         ops = len(keys) + len(deletes)
-        with self.queue.admit(ops):
-            with self.obs.span("shard.update", sid=self.sid, ops=ops):
-                if self.kind == "hb-implicit":
-                    self.tree.merge_rebuild(keys, values, deletes)
-                elif self.resilient is not None:
-                    self.resilient.apply_updates(keys, values, deletes,
-                                                 method="sync")
-                else:
-                    SyncUpdater(self.tree).apply(keys, values, deletes)
+        with self.obs.span("shard.update", sid=self.sid, ops=ops):
+            if self.kind == "hb-implicit":
+                self.tree.merge_rebuild(keys, values, deletes)
+            elif self.resilient is not None:
+                self.resilient.apply_updates(keys, values, deletes,
+                                             method="sync")
+            else:
+                SyncUpdater(self.tree).apply(keys, values, deletes)
         self._count(update_ops=ops)
 
     # -- lifecycle ------------------------------------------------------

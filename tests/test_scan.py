@@ -13,7 +13,12 @@ Covers, in one place, what DESIGN.md §15 promises:
 * ``bucket_costs`` samples its workload without replacement whenever
   the tree can fill the bucket (the PR-9 sampling regression);
 * property-based: all three layouts agree with each other and with a
-  sorted reference model on arbitrary spans.
+  sorted reference model on arbitrary spans;
+* a bucket of scans served in one pass (``scan_batch_from``) is
+  identical to the per-scan loop — rows, every modeled counter and the
+  whole simulated memory state — on all four leaf layouts, and the
+  service's vectorised scan scatter is identical to the per-(scan,
+  shard) loop it replaced.
 """
 
 from __future__ import annotations
@@ -33,6 +38,9 @@ from repro.cpu.btree_implicit import ImplicitCpuBPlusTree
 from repro.cpu.btree_regular import RegularCpuBPlusTree
 from repro.cpu.gapped import GappedCpuBPlusTree
 from repro.faults import FaultInjector, FaultPlan
+from repro.memsim.mainmem import MemorySystem
+from repro.platform.configs import machine_m1
+from repro.service import IndexService, RangeRouter, ServiceConfig
 from repro.workloads.generators import generate_dataset
 from repro.workloads.queries import make_scan_queries
 
@@ -335,3 +343,190 @@ def test_empty_and_single_leaf_trees():
         assert tree.range_query(15, 25) == [(20, 2)]
         assert tree.range_query(31, 40) == []
         assert tree.range_query(25, 15) == []
+
+
+# -- bucket-wide scans: one pass ≡ the per-scan loop ------------------
+
+
+def _layout_tree(layout, keys, values):
+    """A CPU tree of ``layout`` with its own simulated memory."""
+    mem = MemorySystem.from_spec(machine_m1().cpu)
+    if layout == "implicit64":
+        return ImplicitCpuBPlusTree(keys, values, key_bits=64, mem=mem)
+    if layout == "implicit32":
+        return ImplicitCpuBPlusTree(keys, values, key_bits=32, mem=mem)
+    if layout == "regular":
+        return RegularCpuBPlusTree(keys, values, mem=mem)
+    return GappedCpuBPlusTree(keys, values, fill=0.6, mem=mem)
+
+
+LAYOUTS = ["implicit64", "implicit32", "regular", "gapped"]
+
+
+def _leaf_order(tree):
+    """Start leaves in key order (implicit index / regular chain)."""
+    if isinstance(tree, ImplicitCpuBPlusTree):
+        return list(range(tree.num_leaves))
+    return tree.leaf_chain().tolist()
+
+
+def _true_leaf(tree, lo):
+    if isinstance(tree, ImplicitCpuBPlusTree):
+        return tree._descend(int(lo), instrument=False)
+    return tree._descend(int(lo), instrument=False)[0]
+
+
+def _assert_batch_matches_loop(layout, keys, values, starts, los, his):
+    """Three twins serve the same bucket: ``scan_batch_from`` once, a
+    ``range_scan_from`` loop, and (regular layouts) the scalar walk."""
+    batch = _layout_tree(layout, keys, values)
+    loop = _layout_tree(layout, keys, values)
+    got = batch.scan_batch_from(np.asarray(starts, dtype=np.int64),
+                                np.asarray(los, dtype=batch.spec.dtype),
+                                np.asarray(his, dtype=batch.spec.dtype))
+    want = [loop.range_scan_from(s, lo, hi)
+            for s, lo, hi in zip(starts, los, his)]
+    assert got == want
+    assert batch.mem.counters.queries == loop.mem.counters.queries \
+        == sum(lo <= hi for lo, hi in zip(los, his))
+    assert batch.mem.state() == loop.mem.state()
+    if not isinstance(batch, ImplicitCpuBPlusTree):
+        scalar = _layout_tree(layout, keys, values)
+        assert [scalar.range_scan_from_scalar(s, lo, hi)
+                for s, lo, hi in zip(starts, los, his)] == got
+        assert scalar.mem.state() == batch.mem.state()
+
+
+@settings(max_examples=40, deadline=None)
+@given(layout=st.sampled_from(LAYOUTS), n=st.integers(1, 300),
+       data=st.data())
+def test_scan_batch_matches_per_scan_loop(layout, n, data):
+    """Any bucket — start leaves at, before or after the true leaf,
+    repeated starts, ``lo > hi``, empty spans, spans off the last
+    leaf — over any tree size, a one-leaf tree and partial last leaves
+    included."""
+    bits = 32 if layout == "implicit32" else 64
+    top = (1 << (bits - 1)) if bits == 32 else (1 << 48)
+    keys = np.asarray(sorted(data.draw(st.lists(
+        st.integers(0, top), min_size=n, max_size=n, unique=True),
+        label="keys")), dtype=np.uint64 if bits == 64 else np.uint32)
+    values = np.arange(1, n + 1, dtype=keys.dtype)
+    probe = _layout_tree(layout, keys, values)
+    order = _leaf_order(probe)
+    bound = st.one_of(st.sampled_from(keys.tolist()),
+                      st.integers(0, top + 10))
+    scans = data.draw(st.lists(st.tuples(bound, bound, st.one_of(
+        st.just(0), st.integers(0, 3), st.integers(-len(order), -1),
+    )), min_size=1, max_size=24), label="scans")
+    starts, los, his = [], [], []
+    for lo, hi, back in scans:
+        if back < 0:   # an arbitrary leaf, possibly after the true one
+            start = order[back]
+        else:          # the true leaf, or ``back`` leaves before it
+            true = order.index(_true_leaf(probe, lo))
+            start = order[max(0, true - back)]
+        starts.append(start)
+        los.append(lo)
+        his.append(hi)
+    _assert_batch_matches_loop(layout, keys, values, starts, los, his)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_scan_batch_edge_buckets(layout):
+    """The named edge shapes, deterministically: ``lo > hi``, empty
+    results, early starts, scans off the last leaf of a partial last
+    leaf, repeated starts, and a one-leaf tree."""
+    dtype = np.uint32 if layout == "implicit32" else np.uint64
+    for n in (1003, 3):   # partial last leaf; one leaf
+        keys = np.arange(n, dtype=dtype) * 10 + 10
+        values = np.arange(n, dtype=dtype) + 1
+        probe = _layout_tree(layout, keys, values)
+        order = _leaf_order(probe)
+        last = int(keys[-1])
+        first_leaf, last_leaf = order[0], order[-1]
+        cases = [
+            (first_leaf, 500, 100),            # lo > hi
+            (first_leaf, 15, 19),              # empty: between keys
+            (first_leaf, 10, last + 1000),     # whole tree, off the end
+            (last_leaf, last, last + 1000),    # off the last leaf
+            (last_leaf, last + 1, last + 9),   # past every key
+            (first_leaf, last // 2, last // 2 + 300),  # early start
+            (first_leaf, last // 2, last // 2 + 300),  # repeated start
+            (last_leaf, 10, 40),               # start after the span
+        ]
+        starts, los, his = zip(*cases)
+        _assert_batch_matches_loop(layout, keys, values, list(starts),
+                                   list(los), list(his))
+
+
+def test_scan_batch_on_empty_regular_tree():
+    for cls in (RegularCpuBPlusTree, GappedCpuBPlusTree):
+        mem = MemorySystem.from_spec(machine_m1().cpu)
+        tree = cls(np.zeros(0, np.uint64), np.zeros(0, np.uint64), mem=mem)
+        before = mem.state()
+        start = int(tree.leaf_chain()[0]) if len(tree.leaf_chain()) else 0
+        assert tree.scan_batch_from([start, start], [0, 5], [1 << 40, 1]) \
+            == [[], []]
+        assert mem.state() == before
+
+
+# -- the service's vectorised scan scatter ≡ the per-scan loop --------
+
+
+def _scatter_loop(svc, los, his):
+    """The per-(scan, shard) ``shard_span`` loop ``run_scans`` used
+    before its scatter was vectorised — the oracle."""
+    router, shards = svc._table
+    parts = [[] for _ in range(len(los))]
+    for pos in range(router.n_shards):
+        idx, plos, phis = [], [], []
+        for i in range(len(los)):
+            first, last = router.shard_span(int(los[i]), int(his[i]))
+            if not first <= pos <= last:
+                continue
+            lo, hi = int(los[i]), int(his[i])
+            if isinstance(router, RangeRouter):
+                slo, shi = router.shard_bounds(pos)
+                lo, hi = max(lo, slo), min(hi, shi)
+            idx.append(i)
+            plos.append(lo)
+            phis.append(hi)
+        if not idx:
+            continue
+        for i, r in zip(idx, shards[pos].run_scans(plos, phis)):
+            parts[i].append(r)
+    if isinstance(router, RangeRouter):
+        return [sum(p, []) for p in parts]
+    return [sorted(row for p in parts_i for row in p) for parts_i in parts]
+
+
+def _service_state(svc):
+    """Every shard's scan count, engine stats (deduplicated start keys,
+    modeled transactions) and simulated CPU memory state."""
+    return [(s.stats().scans, vars(s.engine.stats), s.tree.mem.state())
+            for s in svc.shards]
+
+
+@pytest.mark.parametrize("router", ["range", "hash"])
+@pytest.mark.parametrize("kind", ["hb-implicit", "hb-regular"])
+def test_service_scatter_matches_per_scan_loop(data, router, kind):
+    keys, values = data
+    sk = np.sort(keys)
+    cfg = ServiceConfig(n_shards=4, router=router, kind=kind)
+    vec = IndexService.build(keys, values, cfg)
+    old = IndexService.build(keys, values, cfg)
+    rng = np.random.default_rng(31)
+    starts = rng.integers(0, len(sk) - 1200, size=40)
+    los = [int(sk[s]) for s in starts]
+    his = [int(sk[s + w]) for s, w in zip(starts, rng.integers(0, 1200, 40))]
+    top = int(sk[-1])
+    los += [int(sk[0]), 0, top + 1, int(sk[900]), int(sk[5]) + 1]
+    his += [top, int(sk[0]) - 1, top + 500, int(sk[100]), int(sk[5]) + 1]
+    # whole keyspace (every shard), below every key, above every key,
+    # lo > hi, and a one-key gap between stored keys
+    if router == "range":
+        for svc in (vec, old):
+            svc.split_shard(1)
+    assert vec.run_scans(los, his) == _scatter_loop(old, los, his)
+    assert _service_state(vec) == _service_state(old)
+    assert vec.run_scans([], []) == []

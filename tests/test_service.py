@@ -321,6 +321,59 @@ class TestAdmission:
         assert q.depth == 0
 
 
+class TestAtomicUpdateBatches:
+    """A multi-shard update batch that one shard sheds has no effect
+    anywhere: every target window is acquired before any shard
+    applies, and the tenant's tokens come back."""
+
+    @pytest.fixture()
+    def shedding(self, m1):
+        from repro.workloads.generators import generate_dataset
+
+        keys, values = generate_dataset(8192, key_bits=64, seed=13)
+        order = np.argsort(keys)
+        keys, values = keys[order], values[order]
+        svc = IndexService.build(keys, values, ServiceConfig(
+            n_shards=2, machine=m1, admission=AdmissionPolicy.SHED,
+            queue_capacity=64, quota=QuotaConfig(tenants={"t": (10, 0.0)})))
+        held = svc.shards[1].queue
+        held.acquire(64)   # shard 1's window is full
+        return svc, keys, values, held
+
+    def _shed_batch(self, svc, keys):
+        with pytest.raises(ShardOverloaded):
+            svc.apply_updates([int(keys[16]), int(keys[-1])], [999, 999],
+                              tenant="t")
+
+    def test_rejected_batch_has_no_effect(self, shedding):
+        svc, keys, values, _held = shedding
+        self._shed_batch(svc, keys)
+        # shard 1 still sheds, so only shard 0's key is looked up
+        assert svc.lookup_batch(keys[[16]]).tolist() == [int(values[16])]
+        sk, sv = svc.contents()
+        assert np.array_equal(sk, keys) and np.array_equal(sv, values)
+        assert svc.shards[0].stats().update_ops == 0
+
+    def test_rejected_batch_refunds_quota(self, shedding):
+        svc, keys, _values, _held = shedding
+        bucket = svc.quotas.bucket("t")
+        self._shed_batch(svc, keys)
+        assert bucket.available == 10
+        assert bucket.admitted_ops == 0
+
+    def test_windows_released_after_rejection(self, shedding):
+        svc, keys, _values, held = shedding
+        self._shed_batch(svc, keys)
+        assert svc.shards[0].queue.depth == 0
+        assert held.depth == 64
+        held.release(64)
+        svc.apply_updates([int(keys[16]), int(keys[-1])], [999, 999],
+                          tenant="t")
+        assert svc.lookup_batch(keys[[16, -1]]).tolist() == [999, 999]
+        assert [s.queue.depth for s in svc.shards] == [0, 0]
+        assert svc.quotas.bucket("t").available == 8
+
+
 class TestSplitMerge:
     def test_split_preserves_contents_and_lookups(self, data, baseline,
                                                   m1):
